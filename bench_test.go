@@ -561,6 +561,7 @@ func BenchmarkCampaignYield(b *testing.B) {
 	ctx := context.Background()
 	var agg *campaign.Aggregate
 	var err error
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg, err = campaign.Engine{}.Run(ctx, spec)

@@ -858,10 +858,24 @@ func (s *server) run(ctx context.Context, j *job) {
 	}()
 }
 
-// settle records the job's terminal state, closes the event stream,
-// and finishes the journal. An abandoned (drain-interrupted) job skips
-// the terminal marker so a restart resumes it from the WAL.
+// settle finishes the journal, then records the job's terminal state
+// and closes the event stream. The journal goes first so that state is
+// durable before it is visible: a client that sees the job settled
+// (GET, /events, /results) can rely on state.json being on disk. An
+// abandoned (drain-interrupted) job skips the terminal marker so a
+// restart resumes it from the WAL.
 func (j *job) settle(state, errMsg string, agg *campaign.Aggregate) {
+	if j.journal != nil {
+		var err error
+		if j.abandoned.Load() {
+			err = j.journal.Close()
+		} else {
+			err = j.journal.Finish(state, errMsg)
+		}
+		if err != nil {
+			j.logger().Warn("journal finish failed", "err", err)
+		}
+	}
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.state, j.errMsg, j.aggFinal = state, errMsg, agg
@@ -880,17 +894,6 @@ func (j *job) settle(state, errMsg string, agg *campaign.Aggregate) {
 		j.logger().Warn("job settled", "state", state, "err", errMsg)
 	} else {
 		j.logger().Info("job settled", "state", state)
-	}
-	if j.journal != nil {
-		var err error
-		if j.abandoned.Load() {
-			err = j.journal.Close()
-		} else {
-			err = j.journal.Finish(state, errMsg)
-		}
-		if err != nil {
-			j.logger().Warn("journal finish failed", "err", err)
-		}
 	}
 	// Index after the journal's terminal marker is down: if the process
 	// dies between the two, startup reconcile replays this step from

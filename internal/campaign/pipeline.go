@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"twmarch/internal/diagnose"
 	"twmarch/internal/ecc"
 	"twmarch/internal/faults"
 	"twmarch/internal/faultsim"
+	"twmarch/internal/march"
 	"twmarch/internal/repair"
 	"twmarch/internal/word"
 )
@@ -246,13 +248,116 @@ func (y *YieldStats) MarshalJSON() ([]byte, error) {
 	}{(*alias)(y), y.RepairabilityRate(), y.EscapeRate(), y.PostECCEscapeRate()})
 }
 
-// simulatePipeline is the per-fault campaign loop with the pipeline
-// stage enabled. It replaces the batched detection loop of
-// simulateCell: every fault is detected individually, diagnosed from
-// its comparator-view syndrome, fed to the repair allocator when
-// detected, and classified against the field-ECC model when it
-// escaped. Results are a pure function of (spec, cell, fault list) —
-// diagnosis, allocation and ECC classification are all deterministic —
+// syndromeTier fills the simulation half of one pipeline chunk of at
+// most faultsim.LaneWidth faults: it returns the chunk's detection mask
+// (bit i set when the cell's detection mode flags chunk[i]) and leaves
+// the comparator-view syndrome of every flagged fault in syn[i]. Entries
+// of unflagged faults are unspecified. Errors carry the message the
+// batch detection paths report for the offending fault.
+type syndromeTier func(chunk []faults.Fault, syn []march.Result) (uint64, error)
+
+// pipelineTier selects the cell's simulation tier. The default is the
+// 64-lane tier: a signature-mode chunk is detected with DetectLane and
+// only its flagged lanes are replayed by SyndromeLane (the fast-
+// diagnosis flow of Wang, Wu & Ivanov: detect everything cheaply,
+// re-run the diagnostic pass only for flagged memories); a compare-mode
+// chunk needs just the SyndromeLane replay, since a comparator flags a
+// fault exactly when its syndrome is non-empty. NoLanes runs the same
+// flow per fault on the scalar reference, Naive on the one-shot
+// Detects/Syndrome oracles. All three give identical masks and logs.
+func pipelineTier(cfg faultsim.Campaign, maxSyn int) (syndromeTier, error) {
+	signature := cfg.Mode == faultsim.Signature
+	if cfg.Naive {
+		return perFaultTier(signature,
+			func(f faults.Fault) (bool, error) { return faultsim.Detects(cfg, f) },
+			func(f faults.Fault) (march.Result, error) { return faultsim.Syndrome(cfg, f, maxSyn) }), nil
+	}
+	ref, err := faultsim.NewReference(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.NoLanes {
+		return perFaultTier(signature, ref.Detects,
+			func(f faults.Fault) (march.Result, error) { return ref.Syndrome(f, maxSyn) }), nil
+	}
+	return func(chunk []faults.Fault, syn []march.Result) (uint64, error) {
+		if signature {
+			det, err := ref.DetectLane(chunk)
+			if err != nil {
+				return 0, err
+			}
+			return det, ref.SyndromeLane(chunk, det, maxSyn, syn)
+		}
+		if err := ref.SyndromeLane(chunk, ^uint64(0), maxSyn, syn); err != nil {
+			return 0, err
+		}
+		var det uint64
+		for i := range chunk {
+			if syn[i].Detected() {
+				det |= 1 << uint(i)
+			}
+		}
+		return det, nil
+	}, nil
+}
+
+// perFaultTier builds a syndromeTier from per-fault detection and
+// syndrome functions: signature-mode faults are replayed only when
+// detect flags them, compare-mode faults are detected by their own
+// syndrome.
+func perFaultTier(signature bool, detect func(faults.Fault) (bool, error), syndrome func(faults.Fault) (march.Result, error)) syndromeTier {
+	return func(chunk []faults.Fault, syn []march.Result) (uint64, error) {
+		var det uint64
+		for i, f := range chunk {
+			if signature {
+				d, err := detect(f)
+				if err != nil {
+					return 0, fmt.Errorf("faultsim: %s: %v", f, err)
+				}
+				if !d {
+					continue
+				}
+			}
+			r, err := syndrome(f)
+			if err != nil {
+				return 0, fmt.Errorf("faultsim: %s: %v", f, err)
+			}
+			syn[i] = r
+			if signature || r.Detected() {
+				det |= 1 << uint(i)
+			}
+		}
+		return det, nil
+	}
+}
+
+// synBufs recycles simulatePipeline's per-cell syndrome buffers, so a
+// campaign of many small cells does not regrow 64 mismatch logs per
+// cell.
+var synBufs = sync.Pool{New: func() any { return new([faultsim.LaneWidth]march.Result) }}
+
+// maxPooledLog bounds the mismatch-log capacity a pooled buffer keeps
+// per lane: a cell with long syndromes must not pin its logs (up to
+// MaxSyndromeCap entries each) in the pool.
+const maxPooledLog = 64
+
+func putSynBuf(buf *[faultsim.LaneWidth]march.Result) {
+	for i := range buf {
+		if cap(buf[i].Mismatches) > maxPooledLog {
+			buf[i].Mismatches = nil
+		}
+	}
+	synBufs.Put(buf)
+}
+
+// simulatePipeline is the campaign loop with the pipeline stage
+// enabled. It walks the fault list in faultsim.LaneWidth chunks: the
+// cell's tier (pipelineTier) fills each chunk's detection mask and the
+// syndromes of its flagged faults, then one tally loop diagnoses every
+// flagged fault, feeds its suspect sites to the repair allocator and
+// classifies every escape against the field-ECC model. Results are a
+// pure function of (spec, cell, fault list) — the tiers agree exactly,
+// and diagnosis, allocation and ECC classification are deterministic —
 // so the byte-identical aggregate guarantee holds unchanged.
 func simulatePipeline(ctx context.Context, spec Spec, c Cell, cfg faultsim.Campaign, list []faults.Fault, res *CellResult) {
 	p := spec.Pipeline
@@ -262,105 +367,76 @@ func simulatePipeline(ctx context.Context, spec Spec, c Cell, cfg faultsim.Campa
 		res.Err = err.Error()
 		return
 	}
-	maxSyn := p.maxSyndrome()
-	// Signature-mode detection goes through the campaign's detector —
-	// the cell's shared reference unless the spec forces the naive
-	// path (cfg.Naive carries spec.Naive); the diagnostic Syndrome
-	// re-run below stays a full comparator-view execution either way.
-	// Compare-mode cells take detection from the Syndrome result and
-	// never call detect.
-	var detect func(f faults.Fault) (bool, error)
-	if c.Mode == ModeSignature {
-		detect, err = cfg.Detector()
-		if err != nil {
-			res.Err = err.Error()
-			return
-		}
+	fill, err := pipelineTier(cfg, p.maxSyndrome())
+	if err != nil {
+		res.Err = err.Error()
+		return
 	}
-	for i, f := range list {
-		// The per-fault loop observes cancellation with the same
-		// bounded latency as the batched path.
-		if i%512 == 0 && ctx.Err() != nil {
+	// The syndrome buffer is recycled chunk after chunk, and cell after
+	// cell through synBufs: the tally below consumes every log before
+	// the next fill overwrites it.
+	buf := synBufs.Get().(*[faultsim.LaneWidth]march.Result)
+	defer putSynBuf(buf)
+	syn := buf[:]
+	for lo := 0; lo < len(list); lo += faultsim.LaneWidth {
+		// Cancellation is observed every 512 faults, the same bounded
+		// latency as the batched detection path.
+		if lo%512 == 0 && ctx.Err() != nil {
 			res.Err = ctx.Err().Error()
 			return
 		}
-		var det bool
-		var syn *diagnose.Report
-		truncated := false
-		if c.Mode == ModeSignature {
-			// Signature detection first; the diagnostic re-run (a real
-			// BIST would switch the comparator on and replay) happens
-			// only for flagged faults.
-			det, err = detect(f)
-			if err != nil {
-				res.Err = err.Error()
-				return
-			}
-			if det {
-				r, err := faultsim.Syndrome(cfg, f, maxSyn)
-				if err != nil {
-					res.Err = err.Error()
-					return
-				}
-				syn = diagnose.Analyze(r, c.Width)
-				truncated = r.MismatchCount > len(r.Mismatches)
-			}
-		} else {
-			r, err := faultsim.Syndrome(cfg, f, maxSyn)
-			if err != nil {
-				res.Err = err.Error()
-				return
-			}
-			det = r.Detected()
-			if det {
-				syn = diagnose.Analyze(r, c.Width)
-				truncated = r.MismatchCount > len(r.Mismatches)
-			}
-		}
-
-		res.Faults++
-		cc := res.ByClass[f.Class()]
-		cc.Total++
-		y.Analyzed++
-		if !det {
-			res.ByClass[f.Class()] = cc
-			y.Escapes++
-			if codec != nil {
-				switch eccOutcome(codec, f) {
-				case ecc.Corrected:
-					y.ECCCorrected++
-				case ecc.DoubleError:
-					y.ECCDetected++
-				}
-			}
-			continue
-		}
-		res.Detected++
-		cc.Detected++
-		res.ByClass[f.Class()] = cc
-		y.Detected++
-		if truncated {
-			y.TruncatedSyndromes++
-		}
-		// An empty mismatch log carries no localization information:
-		// short-circuit diagnosis and repair rather than feeding the
-		// allocator a vacuous site list.
-		if syn == nil || syn.Class == diagnose.NoFault {
-			y.NoSyndrome++
-			continue
-		}
-		y.ByDiagClass[syn.Class.String()]++
-		plan, err := repair.Allocate(syn.Sites, p.SpareRows, p.SpareCols)
+		chunk := list[lo:min(lo+faultsim.LaneWidth, len(list))]
+		det, err := fill(chunk, syn)
 		if err != nil {
 			res.Err = err.Error()
 			return
 		}
-		if plan.Repairable {
-			y.Repairable++
-			y.SpareRowsUsed += len(plan.Assignment.Rows)
-			y.SpareColsUsed += len(plan.Assignment.Cols)
-		} else {
-			y.Unrepairable++
+		for i, f := range chunk {
+			res.Faults++
+			cc := res.ByClass[f.Class()]
+			cc.Total++
+			y.Analyzed++
+			if det>>uint(i)&1 == 0 {
+				res.ByClass[f.Class()] = cc
+				y.Escapes++
+				if codec != nil {
+					switch eccOutcome(codec, f) {
+					case ecc.Corrected:
+						y.ECCCorrected++
+					case ecc.DoubleError:
+						y.ECCDetected++
+					}
+				}
+				continue
+			}
+			res.Detected++
+			cc.Detected++
+			res.ByClass[f.Class()] = cc
+			y.Detected++
+			if syn[i].MismatchCount > len(syn[i].Mismatches) {
+				y.TruncatedSyndromes++
+			}
+			// An empty mismatch log carries no localization information:
+			// short-circuit diagnosis and repair rather than feeding the
+			// allocator a vacuous site list.
+			diag := diagnose.Analyze(syn[i], c.Width)
+			if diag.Class == diagnose.NoFault {
+				y.NoSyndrome++
+				continue
+			}
+			y.ByDiagClass[diag.Class.String()]++
+			plan, err := repair.Allocate(diag.Sites, p.SpareRows, p.SpareCols)
+			if err != nil {
+				res.Err = err.Error()
+				return
+			}
+			if plan.Repairable {
+				y.Repairable++
+				y.SpareRowsUsed += len(plan.Assignment.Rows)
+				y.SpareColsUsed += len(plan.Assignment.Cols)
+			} else {
+				y.Unrepairable++
+			}
 		}
 	}
 	if len(y.ByDiagClass) == 0 {

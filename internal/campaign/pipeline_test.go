@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -330,5 +331,97 @@ func TestECCOutcome(t *testing.T) {
 	// addresses: invisible to any per-word code.
 	if got := eccOutcome(secded, faults.AddrAlias{From: 0, To: 1}); got != ecc.Uncorrectable {
 		t.Errorf("decoder fault: %v, want uncorrectable", got)
+	}
+}
+
+// yieldShapedSpec has the grid of the benchmark's yield workload:
+// March C-/March U × W 8/16 × 16/32 words × both schemes × both modes
+// = 32 cells, two spare rows and columns, SEC-DED. The fault
+// population (SAF, TF and address-decoder faults) keeps the naive
+// tier affordable while still producing single-cell and multi-word
+// syndromes, spare rows spent, and ECC-corrected escapes.
+func yieldShapedSpec() Spec {
+	return Spec{
+		Name:    "yield-shaped",
+		Tests:   []string{"March C-", "March U"},
+		Widths:  []int{8, 16},
+		Words:   []int{16, 32},
+		Schemes: []string{SchemeTWM, SchemeOne},
+		Modes:   []string{ModeCompare, ModeSignature},
+		Classes: []string{"SAF", "TF", "AF"},
+		Seed:    11,
+		Pipeline: &PipelineSpec{
+			Enabled:   true,
+			SpareRows: 2,
+			SpareCols: 2,
+			ECC:       ECCSECDED,
+		},
+	}
+}
+
+// The three simulation tiers — 64-lane (default), scalar reference
+// (NoLanes) and naive one-shot (Naive) — must fold a yield-shaped
+// campaign into byte-identical canonical aggregates.
+func TestPipelineTiersYieldShaped(t *testing.T) {
+	ctx := context.Background()
+	canon := func(mut func(*Spec)) []byte {
+		t.Helper()
+		spec := yieldShapedSpec()
+		mut(&spec)
+		agg, err := Engine{}.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.Errors != 0 {
+			t.Fatalf("%d cells errored", agg.Errors)
+		}
+		b, err := agg.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	lanes := canon(func(*Spec) {})
+	scalar := canon(func(s *Spec) { s.NoLanes = true })
+	naive := canon(func(s *Spec) { s.Naive = true })
+	if !bytes.Equal(lanes, scalar) {
+		t.Errorf("scalar tier diverges from lane tier:\nlanes:\n%s\nscalar:\n%s", lanes, scalar)
+	}
+	if !bytes.Equal(lanes, naive) {
+		t.Errorf("naive tier diverges from lane tier:\nlanes:\n%s\nnaive:\n%s", lanes, naive)
+	}
+	// The grid must actually exercise the pipeline's branches.
+	var agg Aggregate
+	if err := json.Unmarshal(lanes, &agg); err != nil {
+		t.Fatal(err)
+	}
+	y := agg.YieldTotal
+	if y == nil || y.Escapes == 0 || y.Repairable == 0 || y.ECCCorrected == 0 || len(y.ByDiagClass) < 2 {
+		t.Errorf("yield-shaped grid misses pipeline branches: %+v", y)
+	}
+}
+
+// An invalid fault fails the cell with the same error on every tier.
+func TestPipelineTiersInvalidFault(t *testing.T) {
+	spec := pipelineSpec(1, 1, ECCSECDED).Normalized()
+	list := []faults.Fault{
+		faults.StuckAt{Cell: faults.Site{Addr: 0, Bit: 0}, Value: 1},
+		faults.StuckAt{Cell: faults.Site{Addr: 99, Bit: 0}, Value: 1},
+	}
+	for _, mode := range []string{ModeCompare, ModeSignature} {
+		c := Cell{Test: "MATS", Width: 4, Words: 4, Scheme: SchemeTWM, Mode: mode, Seed: 1}
+		var errs []string
+		for _, tier := range []struct{ naive, noLanes bool }{{false, false}, {false, true}, {true, false}} {
+			s := spec
+			s.Naive, s.NoLanes = tier.naive, tier.noLanes
+			res := simulateCell(context.Background(), s, c, &faultCache{lists: map[[2]int][]faults.Fault{{4, 4}: list}})
+			if res.Err == "" {
+				t.Fatalf("%s naive=%v noLanes=%v: invalid fault accepted", mode, tier.naive, tier.noLanes)
+			}
+			errs = append(errs, res.Err)
+		}
+		if errs[0] != errs[1] || errs[0] != errs[2] {
+			t.Errorf("%s: tier errors differ: %q", mode, errs)
+		}
 	}
 }

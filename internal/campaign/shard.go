@@ -237,9 +237,9 @@ func simulateCell(ctx context.Context, spec Spec, c Cell, cache *faultCache) Cel
 	}
 	res.ByClass = make(map[string]ClassCount)
 	if spec.Pipeline.On() {
-		// Pipeline-enabled cells take the per-fault path: detection
-		// verdicts are identical to the batched loop below, plus the
-		// diagnosis/repair/ECC outcome in res.Yield.
+		// Pipeline-enabled cells run the yield stage: the same
+		// detection verdicts as the batched loop below, from the same
+		// tier, plus the diagnosis/repair/ECC outcome in res.Yield.
 		simulatePipeline(ctx, spec, c, cfg, list, &res)
 		return res
 	}

@@ -11,8 +11,10 @@
 package diagnose
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"twmarch/internal/march"
@@ -89,16 +91,12 @@ type Report struct {
 
 // Addresses returns the distinct suspect word addresses in order.
 func (r *Report) Addresses() []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, s := range r.Sites {
-		if !seen[s.Addr] {
-			seen[s.Addr] = true
-			out = append(out, s.Addr)
-		}
+		out = append(out, s.Addr)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Summary renders a one-paragraph diagnosis.
@@ -127,54 +125,76 @@ func (r *Report) Summary() string {
 
 // Analyze builds a diagnosis from an executed run. The width is the
 // memory word width the test ran at.
+//
+// Evidence accumulates in a dense table with one slot per (failing
+// address, bit): the failing addresses are collected in ascending
+// order first, so the slots are already in (Addr, Bit) order and the
+// report needs no hashing and only a sort by failure count.
 func Analyze(res march.Result, width int) *Report {
 	if res.MismatchCount == 0 {
 		return &Report{Class: NoFault, StuckValue: -1}
 	}
-	type key struct{ addr, bit int }
-	acc := map[key]*SiteEvidence{}
+	var addrBuf [8]int
+	addrs := addrBuf[:0]
 	for _, m := range res.Mismatches {
-		diff := m.Got.Xor(m.Want)
-		for b := 0; b < width; b++ {
-			if diff.Bit(b) == 0 {
-				continue
+		if i, found := slices.BinarySearch(addrs, m.Addr); !found {
+			addrs = slices.Insert(addrs, i, m.Addr)
+		}
+	}
+	var accBuf [64]SiteEvidence
+	acc := accBuf[:0]
+	if n := len(addrs) * width; n <= len(accBuf) {
+		acc = accBuf[:n]
+	} else {
+		acc = make([]SiteEvidence, n)
+	}
+	nSites := 0
+	for _, m := range res.Mismatches {
+		a, _ := slices.BinarySearch(addrs, m.Addr)
+		slots := acc[a*width : (a+1)*width]
+		diff := m.Got.Xor(m.Want).Mask(width)
+		for half, x := range [2]uint64{diff.Lo, diff.Hi} {
+			for ; x != 0; x &= x - 1 {
+				b := 64*half + bits.TrailingZeros64(x)
+				ev := &slots[b]
+				got := m.Got.Bit(b)
+				if ev.Count == 0 {
+					*ev = SiteEvidence{Addr: m.Addr, Bit: b, Reads: got}
+					nSites++
+				} else if ev.Reads >= 0 && ev.Reads != got {
+					ev.Reads = -1
+				}
+				ev.Count++
 			}
-			k := key{m.Addr, b}
-			ev, ok := acc[k]
-			if !ok {
-				ev = &SiteEvidence{Addr: m.Addr, Bit: b, Reads: m.Got.Bit(b)}
-				acc[k] = ev
-			} else if ev.Reads >= 0 && ev.Reads != m.Got.Bit(b) {
-				ev.Reads = -1
-			}
-			ev.Count++
 		}
 	}
 	rep := &Report{
 		StuckValue: -1,
 		Truncated:  res.MismatchCount > len(res.Mismatches),
 	}
-	for _, ev := range acc {
-		rep.Sites = append(rep.Sites, *ev)
+	nAddrs := 0
+	if nSites > 0 {
+		rep.Sites = make([]SiteEvidence, 0, nSites)
+		for i := range acc {
+			if acc[i].Count == 0 {
+				continue
+			}
+			if len(rep.Sites) == 0 || rep.Sites[len(rep.Sites)-1].Addr != acc[i].Addr {
+				nAddrs++
+			}
+			rep.Sites = append(rep.Sites, acc[i])
+		}
 	}
-	sort.Slice(rep.Sites, func(i, j int) bool {
-		if rep.Sites[i].Count != rep.Sites[j].Count {
-			return rep.Sites[i].Count > rep.Sites[j].Count
-		}
-		if rep.Sites[i].Addr != rep.Sites[j].Addr {
-			return rep.Sites[i].Addr < rep.Sites[j].Addr
-		}
-		return rep.Sites[i].Bit < rep.Sites[j].Bit
-	})
+	// Most-failing first; the slots' (Addr, Bit) order breaks ties.
+	slices.SortStableFunc(rep.Sites, func(a, b SiteEvidence) int { return cmp.Compare(b.Count, a.Count) })
 
-	addrs := rep.Addresses()
 	switch {
 	case len(rep.Sites) == 1 && rep.Sites[0].Reads >= 0:
 		rep.Class = StuckAtSuspect
 		rep.StuckValue = rep.Sites[0].Reads
 	case len(rep.Sites) == 1:
 		rep.Class = TransitionSuspect
-	case len(addrs) == 1:
+	case nAddrs == 1:
 		rep.Class = WordSuspect
 	default:
 		rep.Class = CouplingSuspect

@@ -1,7 +1,10 @@
 package diagnose
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -198,3 +201,106 @@ func TestTruncationFlag(t *testing.T) {
 }
 
 func wordOf(v uint64) word.Word { return word.FromUint64(v) }
+
+// analyzeMap is the map-based Analyze the dense accumulator replaced,
+// kept verbatim (Addresses inlined) as the oracle for the dense
+// implementation.
+func analyzeMap(res march.Result, width int) *Report {
+	if res.MismatchCount == 0 {
+		return &Report{Class: NoFault, StuckValue: -1}
+	}
+	type key struct{ addr, bit int }
+	acc := map[key]*SiteEvidence{}
+	for _, m := range res.Mismatches {
+		diff := m.Got.Xor(m.Want)
+		for b := 0; b < width; b++ {
+			if diff.Bit(b) == 0 {
+				continue
+			}
+			k := key{m.Addr, b}
+			ev, ok := acc[k]
+			if !ok {
+				ev = &SiteEvidence{Addr: m.Addr, Bit: b, Reads: m.Got.Bit(b)}
+				acc[k] = ev
+			} else if ev.Reads >= 0 && ev.Reads != m.Got.Bit(b) {
+				ev.Reads = -1
+			}
+			ev.Count++
+		}
+	}
+	rep := &Report{
+		StuckValue: -1,
+		Truncated:  res.MismatchCount > len(res.Mismatches),
+	}
+	for _, ev := range acc {
+		rep.Sites = append(rep.Sites, *ev)
+	}
+	sort.Slice(rep.Sites, func(i, j int) bool {
+		if rep.Sites[i].Count != rep.Sites[j].Count {
+			return rep.Sites[i].Count > rep.Sites[j].Count
+		}
+		if rep.Sites[i].Addr != rep.Sites[j].Addr {
+			return rep.Sites[i].Addr < rep.Sites[j].Addr
+		}
+		return rep.Sites[i].Bit < rep.Sites[j].Bit
+	})
+
+	seen := map[int]bool{}
+	var addrs []int
+	for _, s := range rep.Sites {
+		if !seen[s.Addr] {
+			seen[s.Addr] = true
+			addrs = append(addrs, s.Addr)
+		}
+	}
+	switch {
+	case len(rep.Sites) == 1 && rep.Sites[0].Reads >= 0:
+		rep.Class = StuckAtSuspect
+		rep.StuckValue = rep.Sites[0].Reads
+	case len(rep.Sites) == 1:
+		rep.Class = TransitionSuspect
+	case len(addrs) == 1:
+		rep.Class = WordSuspect
+	default:
+		rep.Class = CouplingSuspect
+	}
+	return rep
+}
+
+// TestAnalyzeMatchesMapOracle feeds random mismatch logs — repeated
+// and interleaved addresses, flipped and mixed read values, capped
+// logs, negative and sparse addresses, every width class — through
+// Analyze and the map-based oracle and requires identical reports.
+func TestAnalyzeMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	randWord := func(width int) word.Word {
+		w := word.Word{Lo: r.Uint64(), Hi: r.Uint64()}
+		return w.Mask(width)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		width := []int{1, 4, 8, 16, 64, 100, 128}[r.Intn(7)]
+		addrSpan := []int{1, 3, 16, 1 << 20}[r.Intn(4)]
+		offset := 0
+		if r.Intn(4) == 0 {
+			offset = -addrSpan / 2
+		}
+		var res march.Result
+		for i, n := 0, r.Intn(12); i < n; i++ {
+			want := randWord(width)
+			got := want
+			switch r.Intn(3) {
+			case 0: // one flipped bit
+				got = want.FlipBit(r.Intn(width))
+			case 1: // arbitrary corruption
+				got = randWord(width)
+			}
+			res.Mismatches = append(res.Mismatches, march.Mismatch{Addr: r.Intn(addrSpan) + offset, Got: got, Want: want})
+		}
+		res.MismatchCount = len(res.Mismatches) + r.Intn(2)
+		name := fmt.Sprintf("trial %d width %d", trial, width)
+		got, want := Analyze(res, width), analyzeMap(res, width)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: reports differ\nlog:    %+v\ndense:  %+v\noracle: %+v", name, res, got, want)
+		}
+	}
+}

@@ -24,6 +24,14 @@
 // replayed at once (see lane.go). Run rides the lane path unless
 // Campaign.NoLanes drops it to the scalar replay or Campaign.Naive to
 // the one-shot loop; Compare and per-fault callers use Detector.
+//
+// The diagnostic pass — a comparator-view run with no early exit that
+// records the mismatch log internal/diagnose localizes faults from —
+// has the same three tiers with identical results (see syndrome.go):
+// Syndrome (naive: fresh memory plus march.Run per fault),
+// Reference.Syndrome (scalar replay on the pooled arena) and
+// Reference.SyndromeLane (64 faults per replay, logging only the lanes
+// the caller asks for).
 package faultsim
 
 import (
@@ -177,7 +185,8 @@ func detectsBySignature(c Campaign, mem march.Mem) (bool, error) {
 // internal/diagnose localizes faults from, the way a signature-based
 // BIST re-runs a flagged memory in diagnostic mode to recover the
 // per-read information the MISR compressed away (the fast-diagnosis
-// flow of Wang, Wu & Ivanov).
+// flow of Wang, Wu & Ivanov). It is the oracle Reference.Syndrome and
+// Reference.SyndromeLane are checked against.
 func Syndrome(c Campaign, f faults.Fault, maxMismatches int) (march.Result, error) {
 	if c.Test == nil {
 		return march.Result{}, fmt.Errorf("faultsim: campaign has no test")
@@ -256,9 +265,9 @@ func Run(c Campaign, list []faults.Fault) (*Report, error) {
 
 // Detector returns the campaign's per-fault verdict function: the
 // naive one-shot loop when Naive is set, a shared Reference otherwise.
-// Per-fault callers (Compare, the campaign engine's pipeline stage) go
-// through it; batch callers use Run, which additionally selects the
-// bit-parallel lane path over whole fault lists.
+// Per-fault callers such as Compare go through it; batch callers use
+// Run, which additionally selects the bit-parallel lane path over
+// whole fault lists.
 func (c Campaign) Detector() (func(faults.Fault) (bool, error), error) {
 	if c.Naive {
 		return func(f faults.Fault) (bool, error) { return Detects(c, f) }, nil

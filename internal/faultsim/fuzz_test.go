@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"reflect"
 	"testing"
 
 	"twmarch/internal/core"
@@ -120,6 +121,73 @@ func FuzzDetectLaneVsDetects(f *testing.F) {
 			if lane := bits>>uint(i)&1 == 1; lane != scalar {
 				t.Fatalf("%s %dx%d %v seed %d: fault %s (lane %d): lane=%v scalar=%v",
 					tst.Name, words, width, mode, seed, fault, i, lane, scalar)
+			}
+		}
+	})
+}
+
+// FuzzSyndromeLaneVsSyndrome drives random (geometry, march test,
+// scheme, seed, chunk, want mask, cap) tuples through the lane
+// syndrome replay and the scalar Reference.Syndrome and requires the
+// same diagnostic result for every wanted lane. Small caps exercise
+// log truncation; sparse want masks exercise the lane selection.
+func FuzzSyndromeLaneVsSyndrome(f *testing.F) {
+	f.Add(uint8(3), uint8(1), uint8(0), int64(1), uint16(0), uint8(63), ^uint64(0), uint8(0), false)
+	f.Add(uint8(3), uint8(1), uint8(1), int64(7), uint16(40), uint8(0), uint64(1), uint8(3), true)
+	f.Add(uint8(2), uint8(2), uint8(2), int64(42), uint16(97), uint8(62), uint64(0x5555), uint8(1), true)
+	f.Add(uint8(4), uint8(0), uint8(3), int64(-9), uint16(500), uint8(16), uint64(0xf0f0f0f0), uint8(2), false)
+	f.Add(uint8(5), uint8(2), uint8(4), int64(1<<40), uint16(9999), uint8(7), ^uint64(0), uint8(5), true)
+	f.Fuzz(func(t *testing.T, wordsSel, widthSel, testSel uint8, seed int64, faultSel uint16, chunkSel uint8, want uint64, capSel uint8, signature bool) {
+		words := 2 + int(wordsSel)%3             // 2..4 words
+		width := []int{2, 4, 8}[int(widthSel)%3] // power-of-two widths
+		baseTests := []string{"MATS", "MATS+", "March C-", "March U"}
+		base := march.MustLookup(baseTests[int(testSel)%len(baseTests)])
+		var tst *march.Test
+		if int(testSel)%2 == 0 {
+			res, err := core.TWMTA(base, width)
+			if err != nil {
+				t.Skip(err)
+			}
+			tst = res.TWMarch
+		} else {
+			res, err := core.Scheme1(base, width)
+			if err != nil {
+				t.Skip(err)
+			}
+			tst = res.Test
+		}
+		list := fullCatalog(words, width)
+		start := int(faultSel) % len(list)
+		n := 1 + int(chunkSel)%LaneWidth
+		chunk := list[start:min(start+n, len(list))]
+		limit := int(capSel) % 8 // 0 = march.Run's default cap
+		mode := DirectCompare
+		if signature {
+			mode = Signature
+		}
+		c := Campaign{Test: tst, Words: words, Width: width, Mode: mode, Seed: seed}
+		ref, err := NewReference(c)
+		if err != nil {
+			t.Fatalf("NewReference: %v", err)
+		}
+		out := make([]march.Result, len(chunk))
+		if err := ref.SyndromeLane(chunk, want, limit, out); err != nil {
+			t.Fatalf("SyndromeLane: %v", err)
+		}
+		for i, fault := range chunk {
+			if want>>uint(i)&1 == 0 {
+				if !reflect.DeepEqual(out[i], march.Result{}) {
+					t.Fatalf("lane %d outside want was written: %+v", i, out[i])
+				}
+				continue
+			}
+			scalar, err := ref.Syndrome(fault, limit)
+			if err != nil {
+				t.Fatalf("scalar %s: %v", fault, err)
+			}
+			if !reflect.DeepEqual(out[i], scalar) {
+				t.Fatalf("%s %dx%d seed %d cap %d: fault %s (lane %d):\nlane:   %+v\nscalar: %+v",
+					tst.Name, words, width, seed, limit, fault, i, out[i], scalar)
 			}
 		}
 	})

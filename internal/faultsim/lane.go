@@ -875,6 +875,34 @@ func (r *Reference) laneCompress(ar *laneArena, sched []laneOp, predict bool, ou
 	}
 }
 
+// packChunk resets the arena and packs fs onto lanes 0..len(fs)-1:
+// modeled faults become active lanes, faults of types the packer does
+// not model are listed in ar.slow for the scalar oracle. An invalid
+// fault fails the whole chunk with the error message the scalar batch
+// paths report for it.
+func (ar *laneArena) packChunk(r *Reference, fs []faults.Fault) error {
+	ar.reset(r)
+	for i, f := range fs {
+		switch ar.pack(r, f, uint64(1)<<uint(i)) {
+		case packOK:
+			ar.active |= uint64(1) << uint(i)
+		case packInvalid:
+			// Reproduce the exact scalar error message; pack's checks
+			// mirror faults.Inject, so Inject must fail here too.
+			if _, err := faults.Inject(ar.scratch, f); err != nil {
+				return fmt.Errorf("faultsim: %s: %v", f, err)
+			}
+			return fmt.Errorf("faultsim: %s: invalid fault", f)
+		case packUnsupported:
+			if _, err := faults.Inject(ar.scratch, f); err != nil {
+				return fmt.Errorf("faultsim: %s: %v", f, err)
+			}
+			ar.slow = append(ar.slow, i)
+		}
+	}
+	return nil
+}
+
 // DetectLane evaluates up to LaneWidth faults in one bit-parallel
 // replay and returns their verdicts as a bit vector: bit i is set when
 // the campaign's test detects fs[i]. Verdicts are bit-identical to
@@ -892,24 +920,8 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 	}
 	ar := r.lanePool.Get().(*laneArena)
 	defer r.lanePool.Put(ar)
-	ar.reset(r)
-	for i, f := range fs {
-		switch ar.pack(r, f, uint64(1)<<uint(i)) {
-		case packOK:
-			ar.active |= uint64(1) << uint(i)
-		case packInvalid:
-			// Reproduce the exact scalar error message; pack's checks
-			// mirror faults.Inject, so Inject must fail here too.
-			if _, err := faults.Inject(ar.scratch, f); err != nil {
-				return 0, fmt.Errorf("faultsim: %s: %v", f, err)
-			}
-			return 0, fmt.Errorf("faultsim: %s: invalid fault", f)
-		case packUnsupported:
-			if _, err := faults.Inject(ar.scratch, f); err != nil {
-				return 0, fmt.Errorf("faultsim: %s: %v", f, err)
-			}
-			ar.slow = append(ar.slow, i)
-		}
+	if err := ar.packChunk(r, fs); err != nil {
+		return 0, err
 	}
 	if ar.active != 0 {
 		switch r.mode {

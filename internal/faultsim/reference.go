@@ -29,15 +29,26 @@ type refOp struct {
 	eff word.Word
 }
 
+// opPos locates one schedule step in the march test (the Element and
+// OpIndex of march.Mismatch). It lives in a side table parallel to the
+// test schedule, read only by the syndrome replays, so refOp and laneOp
+// stay as small as the detection loops need them.
+type opPos struct {
+	element, opIndex int32
+}
+
 // compileSchedule flattens a test into refOps under the runner's
-// default options (the options every campaign path uses).
-func compileSchedule(t *march.Test, words, width int) ([]refOp, error) {
+// default options (the options every campaign path uses), together
+// with each step's position in the test.
+func compileSchedule(t *march.Test, words, width int) ([]refOp, []opPos, error) {
 	flat, err := march.Flatten(t, words, march.RunOptions{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]refOp, len(flat))
+	pos := make([]opPos, len(flat))
 	for i, f := range flat {
+		pos[i] = opPos{element: int32(f.Element), opIndex: int32(f.OpIndex)}
 		op := refOp{kind: f.Kind, addr: f.Addr, transparent: f.Data.Transparent}
 		if f.Data.Transparent {
 			op.eff = f.Data.EffectiveMask(width)
@@ -46,7 +57,7 @@ func compileSchedule(t *march.Test, words, width int) ([]refOp, error) {
 		}
 		out[i] = op
 	}
-	return out, nil
+	return out, pos, nil
 }
 
 // arena is the pooled per-run scratch state a Reference replays faults
@@ -98,6 +109,11 @@ type Reference struct {
 	initial []word.Word
 	sched   []refOp
 
+	// Syndrome replays (syndrome.go): each test-schedule step's position
+	// in the test, and the read and write counts of one full pass.
+	pos           []opPos
+	reads, writes int
+
 	// Signature mode: the prediction schedule and, per pass, the
 	// fault-free feed stream plus the MISR state after each clock
 	// (states[k] is the register after k feeds; states[len(feeds)] is
@@ -140,9 +156,16 @@ func NewReference(c Campaign) (*Reference, error) {
 		mode:    c.Mode,
 		initial: mem.Snapshot(),
 	}
-	r.sched, err = compileSchedule(c.Test, c.Words, c.Width)
+	r.sched, r.pos, err = compileSchedule(c.Test, c.Words, c.Width)
 	if err != nil {
 		return nil, err
+	}
+	for _, op := range r.sched {
+		if op.kind == march.Read {
+			r.reads++
+		} else {
+			r.writes++
+		}
 	}
 	switch c.Mode {
 	case DirectCompare:
@@ -151,7 +174,7 @@ func NewReference(c Campaign) (*Reference, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.predSched, err = compileSchedule(pred, c.Words, c.Width)
+		r.predSched, _, err = compileSchedule(pred, c.Words, c.Width)
 		if err != nil {
 			return nil, err
 		}

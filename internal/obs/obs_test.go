@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -162,7 +164,14 @@ func TestConcurrentHotPath(t *testing.T) {
 // TestInstrument checks the HTTP middleware records request count and
 // latency under the normalized route, captures non-200 codes, and
 // leaves Flusher/Unwrap working.
+// instrumentRuns numbers TestInstrument invocations: Instrument counts
+// on the process-wide default registry, so each run serves under its
+// own component label and its exact counts cannot see an earlier
+// run's requests (go test -count=N).
+var instrumentRuns atomic.Int64
+
 func TestInstrument(t *testing.T) {
+	component := fmt.Sprintf("test-%d", instrumentRuns.Add(1))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ok", func(w http.ResponseWriter, r *http.Request) {
 		if _, ok := w.(http.Flusher); !ok {
@@ -173,7 +182,7 @@ func TestInstrument(t *testing.T) {
 	mux.HandleFunc("/missing", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
 	})
-	h := Instrument("test", mux, func(r *http.Request) string { return "route:" + r.URL.Path })
+	h := Instrument(component, mux, func(r *http.Request) string { return "route:" + r.URL.Path })
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	for i := 0; i < 3; i++ {
@@ -189,13 +198,13 @@ func TestInstrument(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if v := httpReqs.With("test", "route:/ok", "GET", "200").Value(); v != 3 {
+	if v := httpReqs.With(component, "route:/ok", "GET", "200").Value(); v != 3 {
 		t.Errorf("requests counter = %v, want 3", v)
 	}
-	if v := httpReqs.With("test", "route:/missing", "GET", "404").Value(); v != 1 {
+	if v := httpReqs.With(component, "route:/missing", "GET", "404").Value(); v != 1 {
 		t.Errorf("404 counter = %v, want 1", v)
 	}
-	if n := httpDur.With("test", "route:/ok").Count(); n != 3 {
+	if n := httpDur.With(component, "route:/ok").Count(); n != 3 {
 		t.Errorf("duration histogram count = %d, want 3", n)
 	}
 }

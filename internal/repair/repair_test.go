@@ -1,7 +1,10 @@
 package repair
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -205,5 +208,181 @@ func TestPipelineFromDiagnosis(t *testing.T) {
 	}
 	if !Covers(plan.Assignment, rep.Sites) {
 		t.Fatal("plan does not cover the diagnosed cell")
+	}
+}
+
+// allocateMap is the map-based allocator Allocate replaced, kept
+// verbatim as the oracle for the dense implementation: equal inputs
+// must give identical plans.
+func allocateMap(sites []diagnose.SiteEvidence, spareRows, spareCols int) (*Plan, error) {
+	if spareRows < 0 || spareCols < 0 {
+		return nil, fmt.Errorf("repair: negative spare counts")
+	}
+	type cell struct{ row, col int }
+	remaining := map[cell]diagnose.SiteEvidence{}
+	for _, s := range sites {
+		remaining[cell{s.Addr, s.Bit}] = s
+	}
+	plan := &Plan{Repairable: true}
+	usedRows := map[int]bool{}
+	usedCols := map[int]bool{}
+
+	countByRow := func() map[int]int {
+		m := map[int]int{}
+		for c := range remaining {
+			m[c.row]++
+		}
+		return m
+	}
+	countByCol := func() map[int]int {
+		m := map[int]int{}
+		for c := range remaining {
+			m[c.col]++
+		}
+		return m
+	}
+	spendRow := func(row int) {
+		usedRows[row] = true
+		plan.Assignment.Rows = append(plan.Assignment.Rows, row)
+		for c := range remaining {
+			if c.row == row {
+				delete(remaining, c)
+			}
+		}
+		spareRows--
+	}
+	spendCol := func(col int) {
+		usedCols[col] = true
+		plan.Assignment.Cols = append(plan.Assignment.Cols, col)
+		for c := range remaining {
+			if c.col == col {
+				delete(remaining, c)
+			}
+		}
+		spareCols--
+	}
+
+	// Phase 1: must-repair fixed point. Candidates are visited in
+	// ascending index order so that, when the spare budget runs out
+	// mid-sweep, which lines got the spares is a pure function of the
+	// input — Go's randomized map iteration must not leak into the plan.
+	sortedKeys := func(m map[int]int) []int {
+		keys := make([]int, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		return keys
+	}
+	for {
+		changed := false
+		byRow := countByRow()
+		for _, row := range sortedKeys(byRow) {
+			if byRow[row] > spareCols && spareRows > 0 && !usedRows[row] {
+				spendRow(row)
+				changed = true
+			}
+		}
+		byCol := countByCol()
+		for _, col := range sortedKeys(byCol) {
+			if byCol[col] > spareRows && spareCols > 0 && !usedCols[col] {
+				spendCol(col)
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+
+	// Phase 2: greedy cover.
+	for len(remaining) > 0 && (spareRows > 0 || spareCols > 0) {
+		bestRow, bestRowN := -1, 0
+		for row, n := range countByRow() {
+			if n > bestRowN || (n == bestRowN && row < bestRow) {
+				bestRow, bestRowN = row, n
+			}
+		}
+		bestCol, bestColN := -1, 0
+		for col, n := range countByCol() {
+			if n > bestColN || (n == bestColN && col < bestCol) {
+				bestCol, bestColN = col, n
+			}
+		}
+		switch {
+		case spareRows > 0 && (bestRowN >= bestColN || spareCols == 0):
+			spendRow(bestRow)
+		case spareCols > 0:
+			spendCol(bestCol)
+		}
+	}
+
+	if len(remaining) > 0 {
+		plan.Repairable = false
+		for _, s := range remaining {
+			plan.Uncovered = append(plan.Uncovered, s)
+		}
+		sort.Slice(plan.Uncovered, func(i, j int) bool {
+			if plan.Uncovered[i].Addr != plan.Uncovered[j].Addr {
+				return plan.Uncovered[i].Addr < plan.Uncovered[j].Addr
+			}
+			return plan.Uncovered[i].Bit < plan.Uncovered[j].Bit
+		})
+	}
+	sort.Ints(plan.Assignment.Rows)
+	sort.Ints(plan.Assignment.Cols)
+	return plan, nil
+}
+
+// TestAllocateMatchesMapOracle drives random site lists — repeated
+// cells with differing evidence, negative and sparse coordinates,
+// dense blocks — through Allocate and the map-based oracle and
+// requires identical plans, and that every repairable plan covers its
+// sites within the spare budget.
+func TestAllocateMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	shapes := []struct {
+		name       string
+		rows, cols int
+		maxSites   int
+		offset     int
+	}{
+		{"dense", 4, 4, 12, 0},
+		{"wide", 32, 16, 40, 0},
+		{"sparse", 1 << 20, 64, 10, 0},
+		{"negative", 6, 6, 14, -3},
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 400; trial++ {
+			n := r.Intn(sh.maxSites + 1)
+			sites := make([]diagnose.SiteEvidence, n)
+			for i := range sites {
+				sites[i] = diagnose.SiteEvidence{
+					Addr:  r.Intn(sh.rows) + sh.offset,
+					Bit:   r.Intn(sh.cols) + sh.offset,
+					Count: 1 + r.Intn(5),
+					Reads: r.Intn(3) - 1,
+				}
+			}
+			sr, sc := r.Intn(4), r.Intn(4)
+			name := fmt.Sprintf("%s/%d: %d sites, %d+%d spares", sh.name, trial, n, sr, sc)
+			got, err := Allocate(sites, sr, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := allocateMap(sites, sr, sc)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: plans differ\nsites:  %v\ndense:  %+v\noracle: %+v", name, sites, got, want)
+			}
+			if len(got.Assignment.Rows) > sr || len(got.Assignment.Cols) > sc {
+				t.Fatalf("%s: budget exceeded: %+v", name, got.Assignment)
+			}
+			if got.Repairable && !Covers(got.Assignment, sites) {
+				t.Fatalf("%s: repairable plan leaves sites uncovered: %+v", name, got.Assignment)
+			}
+		}
 	}
 }
