@@ -306,6 +306,43 @@ func BenchmarkDetectsFast(b *testing.B) { benchDetectsPath(b, false, true) }
 // (verdict-equivalent by the lane equivalence suite and fuzzer).
 func BenchmarkDetectLane(b *testing.B) { benchDetectsPath(b, false, false) }
 
+// BenchmarkDetectLaneGrid measures the lane tier on one cell of the
+// Table 3 characterization grid: March C- through TWMTA at W16 × 16
+// words over SAF, TF and intra-word CFid, in both detection modes. The
+// enumeration is address-major, so most 64-fault chunks name one or
+// two words and take the address-restricted replay, which the S5
+// workload above (3 words) never reaches.
+func BenchmarkDetectLaneGrid(b *testing.B) {
+	const words, width = 16, 16
+	res, err := core.TWMTA(march.MustLookup("March C-"), width)
+	if err != nil {
+		b.Fatal(err)
+	}
+	list := faults.EnumerateStuckAt(words, width)
+	list = append(list, faults.EnumerateTransition(words, width)...)
+	list = append(list, faults.EnumerateCFid(words, width, faults.IntraWordPairs)...)
+	var refs []*faultsim.Reference
+	for _, mode := range []faultsim.DetectMode{faultsim.DirectCompare, faultsim.Signature} {
+		ref, err := faultsim.NewReference(faultsim.Campaign{Test: res.TWMarch, Words: words, Width: width, Mode: mode, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	var rep *faultsim.Report
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ref := range refs {
+			if rep, err = ref.RunLanes(list); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(refs)*len(list)), "ns/fault")
+	b.ReportMetric(100*rep.Coverage(), "signature_coverage_pct")
+}
+
 // BenchmarkE1OnlineInterference measures the online scheduler under
 // tight idle windows (E1).
 func BenchmarkE1OnlineInterference(b *testing.B) {

@@ -76,8 +76,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	id, _ := sub["id"].(string)
 	waitState(t, ts, id, StateDone)
 
-	after := scrape(t, ts)
+	// A worker bumps its completed-lease counter after Complete returns,
+	// so the job can read done before the last bump: scrape until the
+	// counter catches up (or the deadline passes and the check below
+	// reports the shortfall).
 	cells := float64(smallSpec().CellCount())
+	const workerDone = `twm_worker_leases_total{outcome="completed"}`
+	after := scrape(t, ts)
+	for deadline := time.Now().Add(10 * time.Second); after[workerDone]-before[workerDone] < cells && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		after = scrape(t, ts)
+	}
 	delta := func(key string) float64 { return after[key] - before[key] }
 
 	// Engine layer: every cell simulated by the in-process workers runs

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"twmarch/internal/core"
+	"twmarch/internal/faults"
 	"twmarch/internal/march"
 )
 
@@ -64,6 +65,19 @@ func FuzzDetectsFastVsNaive(f *testing.F) {
 	})
 }
 
+// fuzzCatalog is the population the lane fuzzers draw chunks from:
+// fullCatalog up to 32 cells, and beyond that every model but the
+// cubic linked-fault enumeration, so geometries large enough for the
+// address-restricted replay stay cheap to build.
+func fuzzCatalog(words, width int) []faults.Fault {
+	if words*width <= 32 {
+		return fullCatalog(words, width)
+	}
+	list := faults.EnumerateAll(words, width)
+	list = append(list, faults.EnumerateAddrFaults(words)...)
+	return append(list, faults.EnumerateReadDestructive(words, width)...)
+}
+
 // FuzzDetectLaneVsDetects drives random (geometry, march test, scheme,
 // seed, chunk, mode) tuples through the bit-parallel lane path and the
 // scalar reference replay and requires identical verdicts for every
@@ -77,8 +91,13 @@ func FuzzDetectLaneVsDetects(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(3), int64(-9), uint16(500), uint8(16), false)
 	f.Add(uint8(5), uint8(2), uint8(4), int64(1<<40), uint16(9999), uint8(7), true)
 	f.Add(uint8(2), uint8(1), uint8(5), int64(0), uint16(3), uint8(1), false)
+	f.Add(uint8(6), uint8(1), uint8(2), int64(3), uint16(200), uint8(63), false)
+	f.Add(uint8(6), uint8(2), uint8(7), int64(3), uint16(3000), uint8(63), true)
+	f.Add(uint8(7), uint8(0), uint8(1), int64(11), uint16(40000), uint8(40), true)
 	f.Fuzz(func(t *testing.T, wordsSel, widthSel, testSel uint8, seed int64, faultSel uint16, chunkSel uint8, signature bool) {
-		words := 2 + int(wordsSel)%3             // 2..4 words
+		// 2..9 words: chunks naming at most half of them take the
+		// address-restricted replay.
+		words := 2 + int(wordsSel)%8
 		width := []int{2, 4, 8}[int(widthSel)%3] // power-of-two widths
 		baseTests := []string{"MATS", "MATS+", "March C-", "March U"}
 		base := march.MustLookup(baseTests[int(testSel)%len(baseTests)])
@@ -96,7 +115,7 @@ func FuzzDetectLaneVsDetects(f *testing.F) {
 			}
 			tst = res.Test
 		}
-		list := fullCatalog(words, width)
+		list := fuzzCatalog(words, width)
 		start := int(faultSel) % len(list)
 		n := 1 + int(chunkSel)%LaneWidth
 		chunk := list[start:min(start+n, len(list))]
@@ -137,8 +156,12 @@ func FuzzSyndromeLaneVsSyndrome(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(2), int64(42), uint16(97), uint8(62), uint64(0x5555), uint8(1), true)
 	f.Add(uint8(4), uint8(0), uint8(3), int64(-9), uint16(500), uint8(16), uint64(0xf0f0f0f0), uint8(2), false)
 	f.Add(uint8(5), uint8(2), uint8(4), int64(1<<40), uint16(9999), uint8(7), ^uint64(0), uint8(5), true)
+	f.Add(uint8(6), uint8(1), uint8(2), int64(3), uint16(200), uint8(63), ^uint64(0), uint8(0), false)
+	f.Add(uint8(7), uint8(2), uint8(3), int64(5), uint16(3000), uint8(63), uint64(0xff00ff00ff00ff00), uint8(4), true)
 	f.Fuzz(func(t *testing.T, wordsSel, widthSel, testSel uint8, seed int64, faultSel uint16, chunkSel uint8, want uint64, capSel uint8, signature bool) {
-		words := 2 + int(wordsSel)%3             // 2..4 words
+		// 2..9 words: chunks naming at most half of them take the
+		// address-restricted replay.
+		words := 2 + int(wordsSel)%8
 		width := []int{2, 4, 8}[int(widthSel)%3] // power-of-two widths
 		baseTests := []string{"MATS", "MATS+", "March C-", "March U"}
 		base := march.MustLookup(baseTests[int(testSel)%len(baseTests)])
@@ -156,7 +179,7 @@ func FuzzSyndromeLaneVsSyndrome(f *testing.F) {
 			}
 			tst = res.Test
 		}
-		list := fullCatalog(words, width)
+		list := fuzzCatalog(words, width)
 		start := int(faultSel) % len(list)
 		n := 1 + int(chunkSel)%LaneWidth
 		chunk := list[start:min(start+n, len(list))]

@@ -19,11 +19,23 @@ package faultsim
 //	st &^= failRise &^ old & v         // failed 0→1 transitions
 //	st |= failFall & old &^ v          // failed 1→0 transitions
 //
-// Everything else (coupling, linked, decoder, read-disturb,
-// pattern-sensitive faults) registers per-address hooks that fix up
-// single lanes after the bulk commit; the hook bodies replicate the
-// scalar semantics of internal/faults exactly, including effect order
-// within one write. Lane verdicts are asserted bit-identical to
+// Transition-triggered coupling (CFid, CFin) finds its firing lanes the
+// same way, one expression per plane of the written word, and then
+// fixes up only the victims of the lanes that fired. Everything else
+// (state coupling, linked, decoder, read-disturb, pattern-sensitive
+// faults) registers per-address hooks that fix up single lanes after
+// the bulk commit; the fix-ups replicate the scalar semantics of
+// internal/faults exactly, including effect order within one write.
+//
+// Fault effects are local: a fault acts only on the planes of the words
+// it names, and a march datum at a word depends only on that word's
+// snapshot, so every other word holds the fault-free contents in all
+// lanes at every step. A chunk whose faults all have modeled types and
+// name at most half the words therefore replays only the schedule steps
+// at those words (restrict.go). Signature mode relies on the MISR being
+// linear over GF(2): each lane compresses only its deviation from the
+// fault-free feed stream, which is zero on the skipped reads. Every
+// other chunk replays the whole schedule. Lane verdicts are asserted bit-identical to
 // Reference.Detects (and transitively to the naive Detects) by the
 // equivalence suite and FuzzDetectLaneVsDetects.
 
@@ -91,14 +103,6 @@ const (
 	// forced. Registered at both the aggressor's and the victim's
 	// address; enforcement after writes elsewhere is a provable no-op.
 	hookCFst hookKind = iota
-	// hookCFid forces the victim bit when the aggressor bit underwent
-	// the trigger transition in this write. Registered at the
-	// aggressor's address only (same-word and cross-word cases both
-	// reduce to a post-commit fix-up there).
-	hookCFid
-	// hookCFin flips the victim bit when the aggressor bit underwent
-	// the trigger transition.
-	hookCFin
 	// hookChain replays a Linked fault's component chain with exact
 	// scalar ordering (A's onWrite, B's onWrite, commit, A's side
 	// effects, B's side effects).
@@ -136,7 +140,6 @@ type laneHook struct {
 
 	// Coupling hooks.
 	aggrIdx   int32 // plane index of the aggressor bit (hookCFst)
-	aggrBit   int32 // aggressor bit within the written word (transition hooks)
 	victimIdx int32 // plane index of the victim bit
 
 	// Decoder faults.
@@ -150,7 +153,7 @@ type laneHook struct {
 	cellBit int32
 
 	kind hookKind
-	rise bool // trigger: state 1 (hookCFst) or rising transition
+	rise bool // trigger state 1 (hookCFst)
 
 	// Read disturb.
 	trigVal1  bool
@@ -182,6 +185,18 @@ type laneArena struct {
 	// redirected: the bulk commit preserves the old row for them.
 	redirect []uint64
 
+	// Transition-triggered coupling (CFid, CFin) in mask form:
+	// trigRise[i] and trigFall[i] hold the lanes whose aggressor is bit
+	// cell i with a rising or falling trigger, trigLanes[addr] their
+	// union over the word's planes. A lane carries one fault, so the
+	// victim side is per lane: plane index victim[L], forced value
+	// forced[L] (lane bit L pre-multiplied), and invert for CFin.
+	trigRise, trigFall []uint64
+	trigLanes          []uint64
+	victim             [LaneWidth]int32
+	forced             [LaneWidth]uint64
+	invert             uint64
+
 	// masked[addr] records whether any stuck-at or transition mask is
 	// set on a plane of addr, letting write skip the mask algebra on
 	// clean addresses (most addresses of a coupling-dominated chunk).
@@ -204,8 +219,15 @@ type laneArena struct {
 	chains [][2]faults.Coupling
 	npsf   []npsfSpec
 
-	// Signature mode: the two plane-wise MISR signatures.
-	misr, sigA []uint64
+	// Touched set of the packed chunk: inT[addr] marks the words a
+	// fault names, touched lists them (restrict.go). heads and the run
+	// buffers are scratch for the restricted replay's step runs.
+	inT                []bool
+	touched, heads     []int32
+	testRuns, predRuns []stepRun
+
+	// Signature mode: the deviation MISRs of the two passes.
+	devA, devB devReg
 
 	// scratch backs the faults.Inject fallback on the error and
 	// unsupported-type paths, so DetectLane reports byte-identical
@@ -225,12 +247,19 @@ type laneArena struct {
 	valRow, oldRow, rawRow [word.MaxWidth]uint64
 }
 
+// newLaneArena returns a clean arena: the fault-free broadcast of the
+// campaign's initial contents with no faults packed. Every lane replay
+// leaves its arena clean again (release) before returning it to the
+// pool.
 func newLaneArena(r *Reference) *laneArena {
 	n := r.words * r.width
-	// One backing array for the six plane-shaped buffers plus the
-	// three per-word masks: arenas are built per pool miss, so the
-	// allocation count matters more than locality here.
-	back := make([]uint64, 6*n+3*r.words)
+	// One backing array for the eight plane-shaped buffers plus the
+	// four per-word masks, and one each for the per-word flags and
+	// address lists: arenas are built per pool miss, so the allocation
+	// count matters more than locality here.
+	back := make([]uint64, 8*n+4*r.words)
+	flags := make([]bool, 2*r.words)
+	addrs := make([]int32, 2*r.words)
 	ar := &laneArena{
 		planes:     back[0*n : 1*n : 1*n],
 		snap:       back[1*n : 2*n : 2*n],
@@ -238,43 +267,62 @@ func newLaneArena(r *Reference) *laneArena {
 		stuck1:     back[3*n : 4*n : 4*n],
 		failRise:   back[4*n : 5*n : 5*n],
 		failFall:   back[5*n : 6*n : 6*n],
-		redirect:   back[6*n : 6*n+r.words : 6*n+r.words],
-		writeLanes: back[6*n+r.words : 6*n+2*r.words : 6*n+2*r.words],
-		readLanes:  back[6*n+2*r.words:],
-		masked:     make([]bool, r.words),
+		trigRise:   back[6*n : 7*n : 7*n],
+		trigFall:   back[7*n : 8*n : 8*n],
+		redirect:   back[8*n : 8*n+r.words : 8*n+r.words],
+		writeLanes: back[8*n+r.words : 8*n+2*r.words : 8*n+2*r.words],
+		readLanes:  back[8*n+2*r.words : 8*n+3*r.words : 8*n+3*r.words],
+		trigLanes:  back[8*n+3*r.words:],
+		masked:     flags[:r.words:r.words],
+		inT:        flags[r.words:],
+		touched:    addrs[:0:r.words],
+		heads:      addrs[r.words:],
 		writeHooks: make([][]laneHook, r.words),
 		readHooks:  make([][]laneHook, r.words),
 		scratch:    memory.MustNew(r.words, r.width),
+		live:       ^uint64(0),
 	}
+	memory.BroadcastPlanes(ar.planes, r.initial, r.width)
 	if r.mode == Signature {
-		ar.misr = make([]uint64, r.width)
-		ar.sigA = make([]uint64, r.width)
+		np, nt := len(r.predFeeds)+r.width, len(r.testFeeds)+r.width
+		regs := make([]uint64, np+nt)
+		ar.devA = devReg{buf: regs[:np:np], width: r.width}
+		ar.devB = devReg{buf: regs[np:], width: r.width}
 	}
 	return ar
 }
 
-// reset restores the arena to the fault-free broadcast of the
-// campaign's initial contents with no faults packed.
-func (ar *laneArena) reset(r *Reference) {
-	memory.BroadcastPlanes(ar.planes, r.initial, r.width)
-	clear(ar.stuck0)
-	clear(ar.stuck1)
-	clear(ar.failRise)
-	clear(ar.failFall)
-	clear(ar.redirect)
-	clear(ar.masked)
-	clear(ar.writeLanes)
-	clear(ar.readLanes)
+// release makes the arena clean again after a chunk. Packing registers
+// faults only at touched words, and a restricted replay writes only
+// their planes, so those words are all that needs restoring; after a
+// full replay every plane is restored. fullReplay reports which replay
+// ran.
+func (ar *laneArena) release(r *Reference, fullReplay bool) {
+	w := r.width
+	if fullReplay {
+		memory.BroadcastPlanes(ar.planes, r.initial, w)
+	}
+	for _, a := range ar.touched {
+		base := int(a) * w
+		if !fullReplay {
+			memory.BroadcastPlanes(ar.planes[base:base+w], r.initial[a:a+1], w)
+		}
+		clear(ar.stuck0[base : base+w])
+		clear(ar.stuck1[base : base+w])
+		clear(ar.failRise[base : base+w])
+		clear(ar.failFall[base : base+w])
+		clear(ar.trigRise[base : base+w])
+		clear(ar.trigFall[base : base+w])
+		ar.redirect[a], ar.writeLanes[a], ar.readLanes[a], ar.trigLanes[a] = 0, 0, 0, 0
+		ar.masked[a], ar.inT[a] = false, false
+		ar.writeHooks[a] = ar.writeHooks[a][:0]
+		ar.readHooks[a] = ar.readHooks[a][:0]
+	}
+	ar.touched = ar.touched[:0]
 	ar.nReadHooks = 0
-	for i := range ar.writeHooks {
-		ar.writeHooks[i] = ar.writeHooks[i][:0]
-	}
-	for i := range ar.readHooks {
-		ar.readHooks[i] = ar.readHooks[i][:0]
-	}
 	ar.chains = ar.chains[:0]
 	ar.npsf = ar.npsf[:0]
-	ar.active, ar.detected = 0, 0
+	ar.active, ar.detected, ar.invert = 0, 0, 0
 	ar.live = ^uint64(0)
 	ar.slow = ar.slow[:0]
 }
@@ -326,8 +374,10 @@ func (r *Reference) addrOK(a int) bool { return a >= 0 && a < r.words }
 
 // pack validates one fault (the same constraints faults.Inject
 // enforces, without its allocations), registers it on lane machine
-// `lane` (a single bit mask) and applies its injection-time initial
-// condition to the planes.
+// `lane` (a single bit mask), applies its injection-time initial
+// condition to the planes and adds every word it names to the touched
+// set. Hooks, masks and initial conditions act only on the planes of
+// those words.
 func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult {
 	w := r.width
 	switch t := f.(type) {
@@ -336,6 +386,7 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 			return packInvalid
 		}
 		idx := t.Cell.Addr*w + t.Cell.Bit
+		ar.touch(t.Cell.Addr)
 		ar.masked[t.Cell.Addr] = true
 		if t.Value == 1 {
 			ar.stuck1[idx] |= lane
@@ -349,6 +400,7 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 			return packInvalid
 		}
 		idx := t.Cell.Addr*w + t.Cell.Bit
+		ar.touch(t.Cell.Addr)
 		ar.masked[t.Cell.Addr] = true
 		if t.Rise {
 			ar.failRise[idx] |= lane
@@ -359,12 +411,18 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		if !r.siteOK(t.Aggressor) || !r.siteOK(t.Victim) || t.Aggressor == t.Victim {
 			return packInvalid
 		}
+		ar.touch(t.Aggressor.Addr)
+		ar.touch(t.Victim.Addr)
 		ar.packCoupling(&t, lane, w)
 	case faults.Linked:
 		if !r.siteOK(t.A.Aggressor) || !r.siteOK(t.A.Victim) ||
 			!r.siteOK(t.B.Aggressor) || !r.siteOK(t.B.Victim) {
 			return packInvalid
 		}
+		ar.touch(t.A.Aggressor.Addr)
+		ar.touch(t.A.Victim.Addr)
+		ar.touch(t.B.Aggressor.Addr)
+		ar.touch(t.B.Victim.Addr)
 		ar.chains = append(ar.chains, [2]faults.Coupling{t.A, t.B})
 		h := laneHook{kind: hookChain, lane: lane, dataIdx: int32(len(ar.chains) - 1)}
 		for _, a := range chainAddrs(t) {
@@ -376,6 +434,8 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		if !r.addrOK(t.From) || !r.addrOK(t.To) || t.From == t.To {
 			return packInvalid
 		}
+		ar.touch(t.From)
+		ar.touch(t.To)
 		ar.redirect[t.From] |= lane
 		ar.addWrite(t.From, laneHook{kind: hookAliasWrite, lane: lane, from: int32(t.From), to: int32(t.To)})
 		ar.addRead(t.From, laneHook{kind: hookAliasRead, lane: lane, from: int32(t.From), to: int32(t.To)})
@@ -383,12 +443,15 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 		if !r.addrOK(t.From) || !r.addrOK(t.To) || t.From == t.To {
 			return packInvalid
 		}
+		ar.touch(t.From)
+		ar.touch(t.To)
 		ar.addWrite(t.From, laneHook{kind: hookShadowWrite, lane: lane, from: int32(t.From), to: int32(t.To)})
 		ar.addRead(t.From, laneHook{kind: hookShadowRead, lane: lane, from: int32(t.From), to: int32(t.To)})
 	case faults.ReadDestructive:
 		if !r.siteOK(t.Cell) {
 			return packInvalid
 		}
+		ar.touch(t.Cell.Addr)
 		ar.addRead(t.Cell.Addr, laneHook{
 			kind: hookReadDisturb, lane: lane,
 			cellBit: int32(t.Cell.Bit), trigVal1: t.Value == 1, deceptive: t.Deceptive,
@@ -408,9 +471,11 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 			forced:    lane * uint64(t.Value),
 			dataIdx:   int32(len(ar.npsf) - 1),
 		}
+		ar.touch(t.Victim)
 		ar.addWrite(t.Victim, h)
 		for _, n := range spec.neigh {
 			if n >= 0 {
+				ar.touch(int(n))
 				ar.addWrite(int(n), h)
 			}
 		}
@@ -422,12 +487,13 @@ func (ar *laneArena) pack(r *Reference, f faults.Fault, lane uint64) packResult 
 }
 
 // packCoupling registers a plain coupling fault. Each model reduces to
-// one post-commit hook: CFst is a standing enforcement at both involved
-// addresses (the same-word onWrite override and the after-write
-// enforcement coincide), CFid/CFin fire on the committed aggressor
-// transition at the aggressor's address (for the same-word case the
-// committed row already equals the written value, so fixing up the
-// victim bit afterwards is the scalar onWrite result).
+// a post-commit fix-up: CFst is a standing enforcement hook at both
+// involved addresses (the same-word onWrite override and the
+// after-write enforcement coincide), CFid/CFin fire on the committed
+// aggressor transition at the aggressor's address (for the same-word
+// case the committed row already equals the written value, so fixing
+// up the victim bit afterwards is the scalar onWrite result) and are
+// registered in the trigger masks.
 func (ar *laneArena) packCoupling(c *faults.Coupling, lane uint64, w int) {
 	switch c.Model {
 	case faults.CFst:
@@ -443,21 +509,21 @@ func (ar *laneArena) packCoupling(c *faults.Coupling, lane uint64, w int) {
 			ar.addWrite(c.Victim.Addr, h)
 		}
 		ar.enforceCFst(&h)
-	case faults.CFid:
-		ar.addWrite(c.Aggressor.Addr, laneHook{
-			kind: hookCFid, lane: lane,
-			aggrBit:   int32(c.Aggressor.Bit),
-			victimIdx: int32(c.Victim.Addr*w + c.Victim.Bit),
-			rise:      c.AggrTrigger == 1,
-			forced:    lane * uint64(c.VictimValue),
-		})
-	case faults.CFin:
-		ar.addWrite(c.Aggressor.Addr, laneHook{
-			kind: hookCFin, lane: lane,
-			aggrBit:   int32(c.Aggressor.Bit),
-			victimIdx: int32(c.Victim.Addr*w + c.Victim.Bit),
-			rise:      c.AggrTrigger == 1,
-		})
+	case faults.CFid, faults.CFin:
+		ai := c.Aggressor.Addr*w + c.Aggressor.Bit
+		if c.AggrTrigger == 1 {
+			ar.trigRise[ai] |= lane
+		} else {
+			ar.trigFall[ai] |= lane
+		}
+		ar.trigLanes[c.Aggressor.Addr] |= lane
+		l := bits.TrailingZeros64(lane)
+		ar.victim[l] = int32(c.Victim.Addr*w + c.Victim.Bit)
+		if c.Model == faults.CFin {
+			ar.invert |= lane
+		} else {
+			ar.forced[l] = lane * uint64(c.VictimValue)
+		}
 	}
 }
 
@@ -524,7 +590,7 @@ func npsfNeighbors(f faults.NPSF) [4]int32 {
 // redirected lanes keeping their old row — then runs the address's
 // write hooks. oldRow is left holding the pre-write row for the hooks.
 func (ar *laneArena) write(width, addr, base int) {
-	hooked := ar.writeLanes[addr]&ar.live != 0
+	hooked := (ar.writeLanes[addr]|ar.trigLanes[addr])&ar.live != 0
 	red := ar.redirect[addr]
 	if !ar.masked[addr] && red == 0 {
 		// No stuck-at/transition mask and no redirect on this address:
@@ -578,7 +644,32 @@ func (ar *laneArena) enforceNPSF(h *laneHook, width int) {
 	ar.planes[h.victimIdx] = ar.planes[h.victimIdx]&^h.lane | h.forced
 }
 
+// runWriteHooks applies the post-commit fix-ups of a write at addr:
+// first the transition-triggered couplings whose aggressor bit took its
+// trigger transition, then the registered hooks. Each lane carries one
+// fault and a fix-up changes only its own lane's bits, so the order
+// between lanes does not matter.
 func (ar *laneArena) runWriteHooks(width, addr, base int) {
+	if ar.trigLanes[addr]&ar.live != 0 {
+		var fire uint64
+		for b := 0; b < width; b++ {
+			ob, nb := ar.oldRow[b], ar.planes[base+b]
+			fire |= nb&^ob&ar.trigRise[base+b] | ob&^nb&ar.trigFall[base+b]
+		}
+		for fire &= ar.live; fire != 0; fire &= fire - 1 {
+			l := bits.TrailingZeros64(fire)
+			lane := uint64(1) << uint(l)
+			vi := ar.victim[l]
+			if ar.invert&lane != 0 {
+				ar.planes[vi] ^= lane
+			} else {
+				ar.planes[vi] = ar.planes[vi]&^lane | ar.forced[l]
+			}
+		}
+	}
+	if ar.writeLanes[addr]&ar.live == 0 {
+		return
+	}
 	hooks := ar.writeHooks[addr]
 	for i := range hooks {
 		h := &hooks[i]
@@ -588,24 +679,6 @@ func (ar *laneArena) runWriteHooks(width, addr, base int) {
 		switch h.kind {
 		case hookCFst:
 			ar.enforceCFst(h)
-		case hookCFid:
-			ob, nb := ar.oldRow[h.aggrBit], ar.planes[base+int(h.aggrBit)]
-			trig := ob &^ nb
-			if h.rise {
-				trig = nb &^ ob
-			}
-			if trig&h.lane != 0 {
-				ar.planes[h.victimIdx] = ar.planes[h.victimIdx]&^h.lane | h.forced
-			}
-		case hookCFin:
-			ob, nb := ar.oldRow[h.aggrBit], ar.planes[base+int(h.aggrBit)]
-			trig := ob &^ nb
-			if h.rise {
-				trig = nb &^ ob
-			}
-			if trig&h.lane != 0 {
-				ar.planes[h.victimIdx] ^= h.lane
-			}
 		case hookChain:
 			ar.runChain(h, width, addr, base)
 		case hookAliasWrite:
@@ -768,15 +841,25 @@ func (ar *laneArena) runReadHooks(width, addr int) {
 
 // snapshotLane replicates the initial-snapshot read sweep march.Run
 // issues before a pass, through the read hooks (read disturbs and
-// decoder faults perturb it exactly as they do the scalar sweep).
-func (r *Reference) snapshotLane(ar *laneArena) {
+// decoder faults perturb it exactly as they do the scalar sweep). A
+// restricted replay sweeps only its touched words, in address order;
+// the others are never read.
+func (r *Reference) snapshotLane(ar *laneArena, addrs []int32) {
+	w := r.width
+	if addrs != nil {
+		for _, a := range addrs {
+			base := int(a) * w
+			ar.read(w, int(a), base)
+			copy(ar.snap[base:base+w], ar.rawRow[:w])
+		}
+		return
+	}
 	if ar.nReadHooks == 0 {
 		// No read hook can perturb the sweep: snapshotting all lanes
 		// is one bulk copy of the planes.
 		copy(ar.snap, ar.planes)
 		return
 	}
-	w := r.width
 	for addr := 0; addr < r.words; addr++ {
 		base := addr * w
 		ar.read(w, addr, base)
@@ -784,104 +867,110 @@ func (r *Reference) snapshotLane(ar *laneArena) {
 	}
 }
 
-// replayDirectLane runs the comparator-mode replay across all lanes:
-// each read row is XORed against its expected row (evaluated on this
-// run's own snapshot) and the mismatch fold is OR-accumulated into the
-// per-lane verdicts. The replay exits as soon as every active lane has
-// detected — the lane analogue of the scalar early exit. Lanes that
-// already detected keep evolving, which is harmless: verdicts are
+// laneSpan is the part of a schedule one lane replay walks: its step
+// runs in schedule order, and the words the pass snapshots (nil: every
+// word). The full span is the whole schedule as one run.
+type laneSpan struct {
+	runs  []stepRun
+	addrs []int32
+}
+
+// commit performs one write step across all lanes: the datum is
+// evaluated on each lane's own snapshot for transparent data.
+func (ar *laneArena) commit(w int, op *laneOp) {
+	if op.transparent {
+		for b := 0; b < w; b++ {
+			ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
+		}
+	} else {
+		copy(ar.valRow[:w], op.rows)
+	}
+	ar.write(w, op.addr, op.base)
+}
+
+// mismatch performs one read step across all lanes and returns the
+// lanes whose read differs from the expected datum.
+func (ar *laneArena) mismatch(w int, op *laneOp) uint64 {
+	ar.read(w, op.addr, op.base)
+	var mm uint64
+	if op.transparent {
+		for b := 0; b < w; b++ {
+			mm |= ar.rawRow[b] ^ ar.snap[op.base+b] ^ op.rows[b]
+		}
+	} else {
+		for b := 0; b < w; b++ {
+			mm |= ar.rawRow[b] ^ op.rows[b]
+		}
+	}
+	return mm
+}
+
+// replayDirectLane runs the comparator-mode replay of sp across all
+// lanes: each read row is XORed against its expected row (evaluated on
+// this run's own snapshot) and the mismatch fold is OR-accumulated into
+// the per-lane verdicts. The replay exits as soon as every active lane
+// has detected — the lane analogue of the scalar early exit. Lanes
+// that already detected keep evolving, which is harmless: verdicts are
 // sticky and nothing else is observed.
-func (r *Reference) replayDirectLane(ar *laneArena) {
+func (r *Reference) replayDirectLane(ar *laneArena, sp laneSpan) {
 	w := r.width
-	r.snapshotLane(ar)
-	for i := range r.laneSched {
-		op := &r.laneSched[i]
-		if op.kind == march.Write {
-			if op.transparent {
-				for b := 0; b < w; b++ {
-					ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
+	r.snapshotLane(ar, sp.addrs)
+	for _, run := range sp.runs {
+		sched := r.laneSched[run.start:run.end]
+		for i := range sched {
+			op := &sched[i]
+			if op.kind == march.Write {
+				ar.commit(w, op)
+				continue
+			}
+			if mm := ar.mismatch(w, op); mm != 0 {
+				ar.detected |= mm
+				if ar.detected&ar.active == ar.active {
+					return
 				}
-			} else {
-				copy(ar.valRow[:w], op.rows)
-			}
-			ar.write(w, op.addr, op.base)
-			continue
-		}
-		ar.read(w, op.addr, op.base)
-		var mm uint64
-		if op.transparent {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ ar.snap[op.base+b] ^ op.rows[b]
-			}
-		} else {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ op.rows[b]
-			}
-		}
-		if mm != 0 {
-			ar.detected |= mm
-			if ar.detected&ar.active == ar.active {
-				return
-			}
-			// Detected lanes' verdicts are final — stop paying for
-			// their hooks.
-			ar.live = ar.active &^ ar.detected
-		}
-	}
-}
-
-// laneCompress runs one signature-mode pass plane-wise and leaves the
-// 64 MISR signatures in out (out[b] bit L = signature bit b of lane
-// L). Unlike the scalar path it compresses the full feed stream from
-// the zero seed — the scalar resume-from-divergence optimization is
-// exactly the algebraic identity that makes the two equal — so every
-// lane's signature matches misr.MISR fed the same stream. The memory
-// planes carry over between passes, as in the scalar replay.
-func (r *Reference) laneCompress(ar *laneArena, sched []laneOp, predict bool, out []uint64) {
-	w := r.width
-	clear(out)
-	r.snapshotLane(ar)
-	for i := range sched {
-		op := &sched[i]
-		if op.kind == march.Write {
-			if op.transparent {
-				for b := 0; b < w; b++ {
-					ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
-				}
-			} else {
-				copy(ar.valRow[:w], op.rows)
-			}
-			ar.write(w, op.addr, op.base)
-			continue
-		}
-		ar.read(w, op.addr, op.base)
-		// Clock the 64 registers: Galois shift with the polynomial taps
-		// applied to the lanes whose top bit was set, then the feed XOR.
-		msb := out[w-1]
-		copy(out[1:], out[:w-1])
-		out[0] = 0
-		for _, pb := range r.polyBits {
-			out[pb] ^= msb
-		}
-		if predict && op.transparent {
-			for b := 0; b < w; b++ {
-				out[b] ^= ar.rawRow[b] ^ op.rows[b]
-			}
-		} else {
-			for b := 0; b < w; b++ {
-				out[b] ^= ar.rawRow[b]
+				// Detected lanes' verdicts are final — stop paying for
+				// their hooks.
+				ar.live = ar.active &^ ar.detected
 			}
 		}
 	}
 }
 
-// packChunk resets the arena and packs fs onto lanes 0..len(fs)-1:
-// modeled faults become active lanes, faults of types the packer does
-// not model are listed in ar.slow for the scalar oracle. An invalid
-// fault fails the whole chunk with the error message the scalar batch
-// paths report for it.
+// laneCompress runs one signature-mode pass of sp plane-wise and leaves
+// the 64 lanes' deviation signatures in reg: the MISR, from the zero
+// seed, of each lane's feed stream XOR the pass's fault-free feed
+// stream (raw holds the fault-free read rows, one per clock; clocks is
+// the pass's read count). By linearity a lane's signature is the
+// fault-free signature XOR its deviation signature. Steps outside sp
+// feed zero deviations, so the register only advances over them. The
+// memory planes carry over between passes, as in the scalar replay.
+func (r *Reference) laneCompress(ar *laneArena, sched []laneOp, sp laneSpan, raw []uint64, clocks int, reg *devReg) {
+	w := r.width
+	reg.reset(clocks)
+	r.snapshotLane(ar, sp.addrs)
+	for _, run := range sp.runs {
+		clock := int(run.clock)
+		ops := sched[run.start:run.end]
+		for i := range ops {
+			op := &ops[i]
+			if op.kind == march.Write {
+				ar.commit(w, op)
+				continue
+			}
+			ar.read(w, op.addr, op.base)
+			reg.feed(r, clocks-clock-1, ar.rawRow[:w], raw[clock*w:(clock+1)*w])
+			clock++
+		}
+	}
+	reg.advance(r, 0)
+}
+
+// packChunk packs fs onto lanes 0..len(fs)-1 of a clean arena: modeled
+// faults become active lanes, faults of types the packer does not
+// model are listed in ar.slow for the scalar oracle. An invalid fault
+// fails the whole chunk with the error message the scalar batch paths
+// report for it.
 func (ar *laneArena) packChunk(r *Reference, fs []faults.Fault) error {
-	ar.reset(r)
 	for i, f := range fs {
 		switch ar.pack(r, f, uint64(1)<<uint(i)) {
 		case packOK:
@@ -903,14 +992,37 @@ func (ar *laneArena) packChunk(r *Reference, fs []faults.Fault) error {
 	return nil
 }
 
+// restrict commits a restrictable chunk to the restricted replay: it
+// builds the Reference's restriction tables on first use, sorts the
+// touched set into the address order the snapshot sweep needs, and
+// counts the chunk.
+func (r *Reference) restrict(ar *laneArena) {
+	r.restrictOnce.Do(r.buildRestriction)
+	r.restrictedChunks.Add(1)
+	t := ar.touched
+	for i := 1; i < len(t); i++ {
+		for j := i; j > 0 && t[j-1] > t[j]; j-- {
+			t[j-1], t[j] = t[j], t[j-1]
+		}
+	}
+}
+
+// span returns the restricted span of a schedule with per-address runs
+// perAddr, building its runs in *buf.
+func (ar *laneArena) span(perAddr [][]stepRun, buf *[]stepRun) laneSpan {
+	*buf = mergeRuns((*buf)[:0], perAddr, ar.touched, ar.heads)
+	return laneSpan{runs: *buf, addrs: ar.touched}
+}
+
 // DetectLane evaluates up to LaneWidth faults in one bit-parallel
 // replay and returns their verdicts as a bit vector: bit i is set when
 // the campaign's test detects fs[i]. Verdicts are bit-identical to
 // calling Detects per fault; errors (invalid faults) are reported for
 // the first offending fault with the same message the scalar batch
 // paths produce. A short slice leaves the tail lanes simulating the
-// fault-free machine with their verdict bits masked off. Safe for
-// concurrent use.
+// fault-free machine with their verdict bits masked off. A chunk whose
+// faults touch at most half the words replays only the steps at those
+// words (restrict.go). Safe for concurrent use.
 func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 	if len(fs) == 0 {
 		return 0, nil
@@ -919,37 +1031,59 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 		return 0, fmt.Errorf("faultsim: lane capacity is %d faults, got %d", LaneWidth, len(fs))
 	}
 	ar := r.lanePool.Get().(*laneArena)
-	defer r.lanePool.Put(ar)
 	if err := ar.packChunk(r, fs); err != nil {
+		ar.release(r, false)
+		r.lanePool.Put(ar)
 		return 0, err
 	}
+	full := false
 	if ar.active != 0 {
+		restricted := r.restrictable(ar)
 		switch r.mode {
 		case DirectCompare:
-			r.replayDirectLane(ar)
-		case Signature:
-			r.laneCompress(ar, r.lanePredSched, true, ar.sigA)
-			r.laneCompress(ar, r.laneSched, false, ar.misr)
-			var differ uint64
-			for b := 0; b < r.width; b++ {
-				differ |= ar.sigA[b] ^ ar.misr[b]
+			if !restricted {
+				full = true
+				r.replayDirectLane(ar, r.fullTest)
+				break
 			}
-			ar.detected = differ
-		default:
-			return 0, fmt.Errorf("faultsim: unknown mode %v", r.mode)
+			r.restrict(ar)
+			if r.mismatchOutside(ar) {
+				// An untouched read fails identically in every lane.
+				ar.detected = ar.active
+				break
+			}
+			r.replayDirectLane(ar, ar.span(r.testRuns, &ar.testRuns))
+		case Signature:
+			pred, test := r.fullPred, r.fullTest
+			if restricted && r.predReadOnly {
+				r.restrict(ar)
+				pred = ar.span(r.predRuns, &ar.predRuns)
+				test = ar.span(r.testRuns, &ar.testRuns)
+			} else {
+				full = true
+			}
+			r.laneCompress(ar, r.lanePredSched, pred, r.predRaw, len(r.predFeeds), &ar.devA)
+			r.laneCompress(ar, r.laneSched, test, r.testRaw, len(r.testFeeds), &ar.devB)
+			for b := 0; b < r.width; b++ {
+				ar.detected |= ar.devA.bit(b) ^ ar.devB.bit(b) ^ r.sigDiff[b]
+			}
 		}
 	}
 	verdict := ar.detected & ar.active
+	var err error
 	for _, i := range ar.slow {
-		det, err := r.Detects(fs[i])
-		if err != nil {
-			return 0, fmt.Errorf("faultsim: %s: %v", fs[i], err)
+		det, derr := r.Detects(fs[i])
+		if derr != nil {
+			verdict, err = 0, fmt.Errorf("faultsim: %s: %v", fs[i], derr)
+			break
 		}
 		if det {
 			verdict |= uint64(1) << uint(i)
 		}
 	}
-	return verdict, nil
+	ar.release(r, full)
+	r.lanePool.Put(ar)
+	return verdict, err
 }
 
 // RunLanes executes the reference over a fault list through the

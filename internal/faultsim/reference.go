@@ -3,6 +3,7 @@ package faultsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"twmarch/internal/core"
 	"twmarch/internal/faults"
@@ -100,6 +101,18 @@ type arena struct {
 // the verdicts match Detects exactly. The equivalence suite in
 // reference_test.go asserts this over the full fault catalog.
 //
+// The lane tier (lane.go, restrict.go) shares this context. Besides
+// the schedules lowered into broadcast rows, it records the fault-free
+// read rows per MISR clock and checks that the prediction pass is
+// read-only. Those let a chunk whose faults name at most half the
+// words replay only the steps at those words. Untouched words hold the
+// fault-free contents in every lane (locality), and by the MISR's
+// linearity each lane's signature is the fault-free one XOR the MISR of
+// its deviation stream, which is zero on untouched reads. The tables
+// only the restricted path reads (per-address step runs, the words
+// where the fault-free comparator replay fails) are built by the first
+// chunk that takes it.
+//
 // All exported state is read-only after NewReference; the arena pool
 // makes concurrent Detects calls safe.
 type Reference struct {
@@ -125,11 +138,33 @@ type Reference struct {
 	testStates []word.Word
 
 	// Bit-parallel lane path (lane.go): the schedules lowered into
-	// broadcast rows, the MISR polynomial's tap positions (Signature
-	// mode), and the pooled lane arenas.
+	// broadcast rows, and the pooled lane arenas.
 	laneSched     []laneOp
 	lanePredSched []laneOp
-	polyBits      []int
+
+	// Address-restricted lane replay (restrict.go). fullTest and
+	// fullPred span each whole schedule as one run (backed by
+	// fullRuns). The restricted path's tables are built by the first
+	// chunk that takes it: each schedule's step runs per address, and
+	// the words where the fault-free comparator replay fails a read.
+	// restrictedChunks counts the chunks that took it.
+	fullRuns           [2]stepRun
+	fullTest, fullPred laneSpan
+	restrictOnce       sync.Once
+	testRuns, predRuns [][]stepRun
+	ffBad              []int32
+	restrictedChunks   atomic.Int64
+
+	// Signature-mode lane path: each pass's fault-free read rows per
+	// clock, the fault-free signatures' difference broadcast per bit,
+	// the MISR polynomial's taps (tap0 is all ones when bit 0 is a
+	// tap, taps lists the others), and whether the prediction pass is
+	// read-only (restricting needs it).
+	predRaw, testRaw []uint64
+	sigDiff          []uint64
+	taps             []int
+	tap0             uint64
+	predReadOnly     bool
 
 	pool     sync.Pool
 	lanePool sync.Pool
@@ -160,13 +195,8 @@ func NewReference(c Campaign) (*Reference, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, op := range r.sched {
-		if op.kind == march.Read {
-			r.reads++
-		} else {
-			r.writes++
-		}
-	}
+	r.writes = writesIn(r.sched)
+	r.reads = len(r.sched) - r.writes
 	switch c.Mode {
 	case DirectCompare:
 	case Signature:
@@ -190,16 +220,23 @@ func NewReference(c Campaign) (*Reference, error) {
 		if err != nil {
 			return nil, err
 		}
-		for b := 0; b < c.Width; b++ {
+		r.tap0 = -uint64(poly.Bit(0))
+		for b := 1; b < c.Width; b++ {
 			if poly.Bit(b) == 1 {
-				r.polyBits = append(r.polyBits, b)
+				r.taps = append(r.taps, b)
 			}
 		}
 		r.lanePredSched = compileLaneOps(r.predSched, c.Width)
+		r.signatureRows()
+		r.predReadOnly = writesIn(r.predSched) == 0
+		r.fullRuns[1] = stepRun{end: int32(len(r.predSched))}
+		r.fullPred = laneSpan{runs: r.fullRuns[1:2]}
 	default:
 		return nil, fmt.Errorf("faultsim: unknown mode %v", c.Mode)
 	}
 	r.laneSched = compileLaneOps(r.sched, c.Width)
+	r.fullRuns[0] = stepRun{end: int32(len(r.sched))}
+	r.fullTest = laneSpan{runs: r.fullRuns[0:1]}
 	r.pool.New = func() any {
 		a := &arena{
 			mem:  memory.MustNew(r.words, r.width),
@@ -212,6 +249,17 @@ func NewReference(c Campaign) (*Reference, error) {
 	}
 	r.lanePool.New = func() any { return newLaneArena(r) }
 	return r, nil
+}
+
+// writesIn counts the write steps of a schedule.
+func writesIn(sched []refOp) int {
+	n := 0
+	for _, op := range sched {
+		if op.kind == march.Write {
+			n++
+		}
+	}
+	return n
 }
 
 // faultFreePass executes one pass of the schedule on the fault-free

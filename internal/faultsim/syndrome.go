@@ -97,7 +97,10 @@ func (r *Reference) Syndrome(f faults.Fault, maxMismatches int) (march.Result, e
 // left untouched. Every lane replays the whole schedule — no early
 // exit, no lane retired — and faults the packer does not model fall
 // back to the scalar Syndrome. Invalid faults fail the call with
-// DetectLane's error. Safe for concurrent use.
+// DetectLane's error. A chunk restricted as in DetectLane replays only
+// the steps at its touched words, unless the fault-free comparator
+// replay fails a read at an untouched word (that read would belong in
+// every lane's log). Safe for concurrent use.
 func (r *Reference) SyndromeLane(fs []faults.Fault, want uint64, maxMismatches int, out []march.Result) error {
 	if len(fs) > LaneWidth {
 		return fmt.Errorf("faultsim: lane capacity is %d faults, got %d", LaneWidth, len(fs))
@@ -109,69 +112,65 @@ func (r *Reference) SyndromeLane(fs []faults.Fault, want uint64, maxMismatches i
 		want &= uint64(1)<<uint(len(fs)) - 1
 	}
 	ar := r.lanePool.Get().(*laneArena)
-	defer r.lanePool.Put(ar)
 	if err := ar.packChunk(r, fs); err != nil {
+		ar.release(r, false)
+		r.lanePool.Put(ar)
 		return err
 	}
 	for m := want; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		out[i] = r.emptySyndrome(out[i].Mismatches)
 	}
+	full := false
 	if lanes := want & ar.active; lanes != 0 {
-		r.replaySyndromeLane(ar, lanes, mismatchCap(maxMismatches), out)
+		sp := r.fullTest
+		full = true
+		if r.restrictable(ar) && !r.mismatchOutside(ar) {
+			r.restrict(ar)
+			sp, full = ar.span(r.testRuns, &ar.testRuns), false
+		}
+		r.replaySyndromeLane(ar, sp, lanes, mismatchCap(maxMismatches), out)
 	}
+	var err error
 	for _, i := range ar.slow {
 		if want>>uint(i)&1 == 0 {
 			continue
 		}
-		res, err := r.Syndrome(fs[i], maxMismatches)
-		if err != nil {
-			return fmt.Errorf("faultsim: %s: %v", fs[i], err)
+		res, serr := r.Syndrome(fs[i], maxMismatches)
+		if serr != nil {
+			err = fmt.Errorf("faultsim: %s: %v", fs[i], serr)
+			break
 		}
 		out[i] = res
 	}
-	return nil
+	ar.release(r, full)
+	r.lanePool.Put(ar)
+	return err
 }
 
-// replaySyndromeLane is the comparator-view lane replay behind
+// replaySyndromeLane is the comparator-view lane replay of sp behind
 // SyndromeLane: replayDirectLane without the early exit, where each
 // read's mismatch row is walked lane by lane for the lanes in want.
 // Expected values are evaluated on each lane's own snapshot, exactly as
 // march.Run evaluates them on its run's snapshot.
-func (r *Reference) replaySyndromeLane(ar *laneArena, want uint64, limit int, out []march.Result) {
+func (r *Reference) replaySyndromeLane(ar *laneArena, sp laneSpan, want uint64, limit int, out []march.Result) {
 	w := r.width
-	r.snapshotLane(ar)
-	for i := range r.laneSched {
-		op := &r.laneSched[i]
-		if op.kind == march.Write {
-			if op.transparent {
-				for b := 0; b < w; b++ {
-					ar.valRow[b] = ar.snap[op.base+b] ^ op.rows[b]
+	r.snapshotLane(ar, sp.addrs)
+	for _, run := range sp.runs {
+		for i := int(run.start); i < int(run.end); i++ {
+			op := &r.laneSched[i]
+			if op.kind == march.Write {
+				ar.commit(w, op)
+				continue
+			}
+			for mm := ar.mismatch(w, op) & want; mm != 0; mm &= mm - 1 {
+				lane := uint(bits.TrailingZeros64(mm))
+				exp := r.sched[i].val
+				if op.transparent {
+					exp = laneWord(ar.snap[op.base:op.base+w], lane).Xor(r.sched[i].eff)
 				}
-			} else {
-				copy(ar.valRow[:w], op.rows)
+				r.logMismatch(&out[lane], limit, i, laneWord(ar.rawRow[:w], lane), exp)
 			}
-			ar.write(w, op.addr, op.base)
-			continue
-		}
-		ar.read(w, op.addr, op.base)
-		var mm uint64
-		if op.transparent {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ ar.snap[op.base+b] ^ op.rows[b]
-			}
-		} else {
-			for b := 0; b < w; b++ {
-				mm |= ar.rawRow[b] ^ op.rows[b]
-			}
-		}
-		for mm &= want; mm != 0; mm &= mm - 1 {
-			lane := uint(bits.TrailingZeros64(mm))
-			exp := r.sched[i].val
-			if op.transparent {
-				exp = laneWord(ar.snap[op.base:op.base+w], lane).Xor(r.sched[i].eff)
-			}
-			r.logMismatch(&out[lane], limit, i, laneWord(ar.rawRow[:w], lane), exp)
 		}
 	}
 }

@@ -1,14 +1,16 @@
 // Command benchdiff is the benchmark-regression gate: it parses `go
 // test -bench` output into a compact JSON form and compares it against
 // a checked-in baseline (BENCH_BASELINE.json), failing when any
-// tracked benchmark's ns/op regressed beyond the threshold.
+// tracked benchmark's ns/op regressed beyond the threshold. Where the
+// baseline also records allocs/op for a benchmark, that is gated too.
 //
 //	go test -run xxx -count 3 -bench 'BenchmarkS5Coverage|...' . | tee bench.txt
 //	go run ./scripts/benchdiff -bench bench.txt                  # gate
 //	go run ./scripts/benchdiff -bench bench.txt -update          # refresh baseline
 //
-// With -count > 1 the minimum ns/op per benchmark is used — the
-// standard noise filter for wall-clock benchmarks. Every benchmark
+// With -count > 1 the minimum ns/op (and allocs/op) per benchmark is
+// used — the standard noise filter for wall-clock benchmarks. Every
+// benchmark
 // present in the baseline must appear in the fresh run (a silently
 // dropped benchmark would otherwise disable its gate). Benchmarks in
 // the fresh run that the baseline does not track are reported but do
@@ -20,7 +22,11 @@
 // factoring a uniformly faster or slower runner out of the
 // comparison; refresh with -update when results drift for reasons the
 // calibration cannot express (a new runner class with different
-// relative costs, an accepted optimization).
+// relative costs, an accepted optimization). allocs/op does not depend
+// on machine speed, so it is gated unscaled: a benchmark fails when its
+// fresh allocs/op exceed the baseline's by more than the threshold, or
+// when the fresh run does not report allocs/op at all (run it with
+// b.ReportAllocs or -benchmem).
 //
 // With -load the gate switches subject: instead of go test -bench
 // output it reads a twmload soak report (cmd/twmload) and compares
@@ -55,9 +61,12 @@ type Baseline struct {
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
-// Entry is one benchmark's recorded cost.
+// Entry is one benchmark's recorded cost. AllocsPerOp is optional: nil
+// when the benchmark does not report allocations (or, in a baseline,
+// when its allocations are not gated).
 type Entry struct {
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 // benchLine matches one result line of `go test -bench` output, e.g.
@@ -65,11 +74,16 @@ type Entry struct {
 //	BenchmarkS5Coverage-8   4118   559597 ns/op   92.98 coverage_pct
 //
 // The -N GOMAXPROCS suffix is stripped so baselines are stable across
-// machines with different core counts.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// machines with different core counts. allocsField finds the allocs/op
+// figure anywhere after it.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
-// parseBench extracts ns/op per benchmark from go test -bench output,
-// keeping the minimum across repeated runs (-count > 1).
+// parseBench extracts ns/op and, where reported, allocs/op per
+// benchmark from go test -bench output, keeping each one's minimum
+// across repeated runs (-count > 1).
 func parseBench(r io.Reader) (map[string]Entry, error) {
 	out := make(map[string]Entry)
 	sc := bufio.NewScanner(r)
@@ -83,9 +97,22 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchdiff: bad ns/op in %q: %v", sc.Text(), err)
 		}
-		if cur, ok := out[m[1]]; !ok || ns < cur.NsPerOp {
-			out[m[1]] = Entry{NsPerOp: ns}
+		var allocs *float64
+		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
+			v, err := strconv.ParseFloat(a[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchdiff: bad allocs/op in %q: %v", sc.Text(), err)
+			}
+			allocs = &v
 		}
+		cur, ok := out[m[1]]
+		if !ok || ns < cur.NsPerOp {
+			cur.NsPerOp = ns
+		}
+		if allocs != nil && (cur.AllocsPerOp == nil || *allocs < *cur.AllocsPerOp) {
+			cur.AllocsPerOp = allocs
+		}
+		out[m[1]] = cur
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -107,7 +134,8 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 // catches benchmarks that regressed relative to the machine, not
 // machines that differ from the one the baseline was recorded on. The
 // anchor itself is exempted from gating (its drift defines the
-// scale).
+// scale). allocs/op, where the baseline records it, is compared
+// unscaled against the same threshold.
 func gate(base, fresh map[string]Entry, threshold float64, calibrate string) (report []string, failures []string) {
 	scale := 1.0
 	if calibrate != "" {
@@ -140,13 +168,17 @@ func gate(base, fresh map[string]Entry, threshold float64, calibrate string) (re
 			continue
 		}
 		delta := f.NsPerOp/b.NsPerOp - 1
-		status := "ok  "
-		if delta > threshold {
-			status = "FAIL"
+		ok = delta <= threshold
+		report = append(report, fmt.Sprintf("%s %-28s baseline %12.0f ns/op   fresh %12.0f ns/op   %+6.1f%%",
+			status(ok), n, b.NsPerOp, f.NsPerOp, 100*delta))
+		if b.AllocsPerOp != nil {
+			line, allocsOK := gateAllocs(n, *b.AllocsPerOp, f.AllocsPerOp, threshold)
+			report = append(report, line)
+			ok = ok && allocsOK
+		}
+		if !ok {
 			failures = append(failures, n)
 		}
-		report = append(report, fmt.Sprintf("%s %-28s baseline %12.0f ns/op   fresh %12.0f ns/op   %+6.1f%%",
-			status, n, b.NsPerOp, f.NsPerOp, 100*delta))
 	}
 	var extra []string
 	for n := range fresh {
@@ -159,6 +191,23 @@ func gate(base, fresh map[string]Entry, threshold float64, calibrate string) (re
 		report = append(report, fmt.Sprintf("new  %-28s fresh %12.0f ns/op (not gated; add with -update)", n, fresh[n].NsPerOp))
 	}
 	return report, failures
+}
+
+func status(ok bool) string {
+	if ok {
+		return "ok  "
+	}
+	return "FAIL"
+}
+
+// gateAllocs compares one benchmark's fresh allocs/op (nil when the
+// fresh run did not report it) against its baseline figure.
+func gateAllocs(name string, base float64, fresh *float64, threshold float64) (string, bool) {
+	if fresh == nil {
+		return fmt.Sprintf("FAIL %-28s allocs/op missing from fresh run (baseline %.0f allocs/op)", name, base), false
+	}
+	ok := *fresh <= base*(1+threshold)
+	return fmt.Sprintf("%s %-28s baseline %12.0f allocs/op fresh %12.0f allocs/op", status(ok), name, base, *fresh), ok
 }
 
 func run(args []string, stdout io.Writer) error {

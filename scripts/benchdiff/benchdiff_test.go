@@ -126,3 +126,99 @@ func TestRunUpdateThenGate(t *testing.T) {
 		t.Fatalf("regression not caught: err=%v\n%s", err, sb.String())
 	}
 }
+
+const sampleAllocs = `BenchmarkCampaignYield-2     700   1600000 ns/op   1150000 B/op   9104 allocs/op   100.0 repairability_pct
+BenchmarkCampaignYield-2     690   1700000 ns/op   1150000 B/op   9050 allocs/op   100.0 repairability_pct
+BenchmarkS5Coverage-2       4118    559597 ns/op    92.98 coverage_pct
+`
+
+// allocs/op is parsed wherever a line reports it, keeping the minimum
+// across repeats independently of ns/op; lines without it leave the
+// field nil.
+func TestParseBenchAllocs(t *testing.T) {
+	got, err := parseBench(strings.NewReader(sampleAllocs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := got["BenchmarkCampaignYield"]
+	if y.NsPerOp != 1600000 || y.AllocsPerOp == nil || *y.AllocsPerOp != 9050 {
+		t.Errorf("CampaignYield = %+v, want 1600000 ns/op and min 9050 allocs/op", y)
+	}
+	if a := got["BenchmarkS5Coverage"].AllocsPerOp; a != nil {
+		t.Errorf("S5Coverage allocs/op = %v, want nil", *a)
+	}
+}
+
+func allocs(v float64) *float64 { return &v }
+
+// allocs/op is gated only where the baseline records it, against the
+// same threshold but without calibration scaling, and a fresh run that
+// stops reporting it fails.
+func TestGateAllocs(t *testing.T) {
+	base := map[string]Entry{
+		"BenchmarkMem": {NsPerOp: 100},
+		"BenchmarkA":   {NsPerOp: 1000, AllocsPerOp: allocs(100)},
+		"BenchmarkB":   {NsPerOp: 1000, AllocsPerOp: allocs(100)},
+		"BenchmarkC":   {NsPerOp: 1000, AllocsPerOp: allocs(100)},
+		"BenchmarkD":   {NsPerOp: 1000},
+		"BenchmarkE":   {NsPerOp: 1000, AllocsPerOp: allocs(0)},
+	}
+	fresh := map[string]Entry{
+		"BenchmarkMem": {NsPerOp: 200},                              // machine is 2x slower
+		"BenchmarkA":   {NsPerOp: 2000, AllocsPerOp: allocs(120)},   // +20% allocs: ok
+		"BenchmarkB":   {NsPerOp: 2000, AllocsPerOp: allocs(130)},   // +30% allocs: fails unscaled
+		"BenchmarkC":   {NsPerOp: 2000},                             // allocs/op no longer reported
+		"BenchmarkD":   {NsPerOp: 2000, AllocsPerOp: allocs(10000)}, // allocs not gated
+		"BenchmarkE":   {NsPerOp: 2000, AllocsPerOp: allocs(1)},     // any allocation over a zero baseline
+	}
+	report, failures := gate(base, fresh, 0.25, "BenchmarkMem")
+	want := []string{"BenchmarkB", "BenchmarkC", "BenchmarkE"}
+	if strings.Join(failures, ",") != strings.Join(want, ",") {
+		t.Fatalf("failures = %v, want %v:\n%s", failures, want, strings.Join(report, "\n"))
+	}
+	joined := strings.Join(report, "\n")
+	for _, line := range []string{"ok   BenchmarkA                   baseline          100 allocs/op",
+		"FAIL BenchmarkB                   baseline          100 allocs/op",
+		"FAIL BenchmarkC                   allocs/op missing from fresh run"} {
+		if !strings.Contains(joined, line) {
+			t.Errorf("report missing %q:\n%s", line, joined)
+		}
+	}
+	// A benchmark failing both gates is listed once.
+	fresh["BenchmarkB"] = Entry{NsPerOp: 9000, AllocsPerOp: allocs(900)}
+	if _, failures = gate(base, fresh, 0.25, "BenchmarkMem"); strings.Join(failures, ",") != strings.Join(want, ",") {
+		t.Errorf("failures = %v, want %v", failures, want)
+	}
+}
+
+// -update records allocs/op where the run reports it, and the written
+// baseline gates it.
+func TestRunUpdateRecordsAllocs(t *testing.T) {
+	dir := t.TempDir()
+	benchFile := filepath.Join(dir, "bench.txt")
+	baseFile := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(benchFile, []byte(sampleAllocs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-bench", benchFile, "-baseline", baseFile, "-update"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(baseFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"allocs_per_op"`); n != 1 {
+		t.Errorf("baseline records allocs_per_op %d times, want once:\n%s", n, raw)
+	}
+	more := strings.Replace(sampleAllocs, "9050 allocs/op", "19050 allocs/op", 1)
+	more = strings.Replace(more, "9104 allocs/op", "19104 allocs/op", 1)
+	if err := os.WriteFile(benchFile, []byte(more), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	err = run([]string{"-bench", benchFile, "-baseline", baseFile}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkCampaignYield") {
+		t.Fatalf("allocs regression not caught: err=%v\n%s", err, sb.String())
+	}
+}
