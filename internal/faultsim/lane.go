@@ -1007,10 +1007,10 @@ func (r *Reference) restrict(ar *laneArena) {
 	}
 }
 
-// span returns the restricted span of a schedule with per-address runs
-// perAddr, building its runs in *buf.
-func (ar *laneArena) span(perAddr [][]stepRun, buf *[]stepRun) laneSpan {
-	*buf = mergeRuns((*buf)[:0], perAddr, ar.touched, ar.heads)
+// span returns the restricted span of a schedule with step runs idx,
+// building its runs in *buf.
+func (ar *laneArena) span(idx *runIndex, buf *[]stepRun) laneSpan {
+	*buf = ar.selectRuns((*buf)[:0], idx)
 	return laneSpan{runs: *buf, addrs: ar.touched}
 }
 
@@ -1052,13 +1052,13 @@ func (r *Reference) DetectLane(fs []faults.Fault) (uint64, error) {
 				ar.detected = ar.active
 				break
 			}
-			r.replayDirectLane(ar, ar.span(r.testRuns, &ar.testRuns))
+			r.replayDirectLane(ar, ar.span(&r.testRuns, &ar.testRuns))
 		case Signature:
 			pred, test := r.fullPred, r.fullTest
 			if restricted && r.predReadOnly {
 				r.restrict(ar)
-				pred = ar.span(r.predRuns, &ar.predRuns)
-				test = ar.span(r.testRuns, &ar.testRuns)
+				pred = ar.span(&r.predRuns, &ar.predRuns)
+				test = ar.span(&r.testRuns, &ar.testRuns)
 			} else {
 				full = true
 			}

@@ -145,13 +145,15 @@ type Reference struct {
 	// Address-restricted lane replay (restrict.go). fullTest and
 	// fullPred span each whole schedule as one run (backed by
 	// fullRuns). The restricted path's tables are built by the first
-	// chunk that takes it: each schedule's step runs per address, and
-	// the words where the fault-free comparator replay fails a read.
-	// restrictedChunks counts the chunks that took it.
+	// chunk that takes it: each schedule's step runs, and the words
+	// where the fault-free comparator replay fails a read. maxTouched
+	// is the most words a restricted chunk may touch; restrictedChunks
+	// counts the chunks that took it.
 	fullRuns           [2]stepRun
+	maxTouched         int
 	fullTest, fullPred laneSpan
 	restrictOnce       sync.Once
-	testRuns, predRuns [][]stepRun
+	testRuns, predRuns runIndex
 	ffBad              []int32
 	restrictedChunks   atomic.Int64
 
@@ -237,6 +239,7 @@ func NewReference(c Campaign) (*Reference, error) {
 	r.laneSched = compileLaneOps(r.sched, c.Width)
 	r.fullRuns[0] = stepRun{end: int32(len(r.sched))}
 	r.fullTest = laneSpan{runs: r.fullRuns[0:1]}
+	r.maxTouched = r.words / 2
 	r.pool.New = func() any {
 		a := &arena{
 			mem:  memory.MustNew(r.words, r.width),

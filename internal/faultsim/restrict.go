@@ -27,7 +27,10 @@ package faultsim
 //
 // A chunk is restricted when every fault has a modeled type and it
 // touches at most half the words; every other chunk replays the whole
-// schedule as one run.
+// schedule as one run. The cutoff is measured: at half the words the
+// restricted replay took 0.6–1.15× the full replay's time on W2–W32
+// geometries, and break-even was near three quarters
+// (docs/PERFORMANCE.md).
 
 import (
 	"twmarch/internal/march"
@@ -36,14 +39,21 @@ import (
 )
 
 // stepRun is a maximal block [start, end) of consecutive schedule steps
-// at one address; clock is the number of reads before start.
+// at one address addr; clock is the number of reads before start.
 type stepRun struct {
-	start, end, clock int32
+	start, end, clock, addr int32
 }
 
-// addrRuns splits a schedule into per-address runs, returned per
-// address in schedule order, all sharing one backing array.
-func addrRuns(sched []refOp, words int) [][]stepRun {
+// runIndex lists a schedule's step runs twice: all of them in schedule
+// order, and each address's own in schedule order (sharing one backing
+// array).
+type runIndex struct {
+	all    []stepRun
+	byAddr [][]stepRun
+}
+
+// indexRuns splits a schedule into its step runs.
+func indexRuns(sched []refOp, words int) runIndex {
 	count := make([]int, words)
 	n := 0
 	for i := range sched {
@@ -52,43 +62,61 @@ func addrRuns(sched []refOp, words int) [][]stepRun {
 			n++
 		}
 	}
+	idx := runIndex{all: make([]stepRun, 0, n), byAddr: make([][]stepRun, words)}
 	back := make([]stepRun, 0, n)
-	out := make([][]stepRun, words)
 	for a, c := range count {
-		out[a] = back[len(back) : len(back) : len(back)+c]
+		idx.byAddr[a] = back[len(back) : len(back) : len(back)+c]
 		back = back[:len(back)+c]
 	}
 	clock := int32(0)
 	for i := 0; i < len(sched); {
 		a := sched[i].addr
-		run := stepRun{start: int32(i), clock: clock}
+		run := stepRun{start: int32(i), clock: clock, addr: int32(a)}
 		for ; i < len(sched) && sched[i].addr == a; i++ {
 			if sched[i].kind != march.Write {
 				clock++
 			}
 		}
 		run.end = int32(i)
-		out[a] = append(out[a], run)
+		idx.all = append(idx.all, run)
+		idx.byAddr[a] = append(idx.byAddr[a], run)
 	}
-	return out
+	return idx
 }
 
-// mergeRuns appends the runs of the given addresses to dst in schedule
-// order, fusing runs that abut.
-func mergeRuns(dst []stepRun, perAddr [][]stepRun, addrs, heads []int32) []stepRun {
-	heads = heads[:len(addrs)]
+// selectRuns appends to dst, in schedule order, the runs of the words
+// ar touches, fusing runs that abut. Merging the touched words' own
+// run lists costs O(k) per selected run for k touched words; scanning
+// every run costs one test per run. The merge is used while k*k is at
+// most the word count, where it is the cheaper of the two.
+func (ar *laneArena) selectRuns(dst []stepRun, idx *runIndex) []stepRun {
+	addrs := ar.touched
+	if len(addrs)*len(addrs) > len(idx.byAddr) {
+		for _, run := range idx.all {
+			if !ar.inT[run.addr] {
+				continue
+			}
+			if k := len(dst) - 1; k >= 0 && dst[k].end == run.start {
+				dst[k].end = run.end
+				continue
+			}
+			dst = append(dst, run)
+		}
+		return dst
+	}
+	heads := ar.heads[:len(addrs)]
 	clear(heads)
 	for {
 		best, start := -1, int32(0)
 		for j, a := range addrs {
-			if h := int(heads[j]); h < len(perAddr[a]) && (best < 0 || perAddr[a][h].start < start) {
-				best, start = j, perAddr[a][h].start
+			if h := int(heads[j]); h < len(idx.byAddr[a]) && (best < 0 || idx.byAddr[a][h].start < start) {
+				best, start = j, idx.byAddr[a][h].start
 			}
 		}
 		if best < 0 {
 			return dst
 		}
-		run := perAddr[addrs[best]][heads[best]]
+		run := idx.byAddr[addrs[best]][heads[best]]
 		heads[best]++
 		if k := len(dst) - 1; k >= 0 && dst[k].end == run.start {
 			dst[k].end = run.end
@@ -154,9 +182,9 @@ func broadcastWord(rows []uint64, v word.Word) {
 
 // buildRestriction builds the tables only the restricted replay reads.
 func (r *Reference) buildRestriction() {
-	r.testRuns = addrRuns(r.sched, r.words)
+	r.testRuns = indexRuns(r.sched, r.words)
 	if r.mode == Signature {
-		r.predRuns = addrRuns(r.predSched, r.words)
+		r.predRuns = indexRuns(r.predSched, r.words)
 	}
 	r.ffBad = r.comparatorMismatches()
 }
@@ -172,7 +200,7 @@ func (ar *laneArena) touch(addr int) {
 // restrictable reports whether the packed chunk may replay only the
 // steps at its touched words.
 func (r *Reference) restrictable(ar *laneArena) bool {
-	return len(ar.slow) == 0 && 2*len(ar.touched) <= r.words
+	return len(ar.slow) == 0 && len(ar.touched) <= r.maxTouched
 }
 
 // mismatchOutside reports whether the fault-free comparator replay

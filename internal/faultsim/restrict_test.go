@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -117,7 +118,7 @@ func chunksOf(list []faults.Fault) [][]faults.Fault {
 	return out
 }
 
-// On the grid geometries most address-major chunks name one or two
+// On the grid geometries most address-major chunks name a few
 // words and take the restricted replay; the verdicts and syndromes
 // must still match the scalar reference for every fault, and the
 // restricted path must actually have run (the W4 × 8-word SAF/TF
@@ -470,6 +471,77 @@ func TestRestrictedLaneConcurrent(t *testing.T) {
 		wg.Wait()
 		if ref.restrictedChunks.Load() == 0 {
 			t.Errorf("%v: no chunk took the restricted replay", mode)
+		}
+	}
+}
+
+// spreadChunk returns LaneWidth SAF and TF faults dealt round-robin
+// over k evenly spaced words, so the chunk touches exactly k words.
+func spreadChunk(words, width, k int) []faults.Fault {
+	per := make([][]faults.Fault, k)
+	for i := range per {
+		a := i * words / k
+		for b := 0; b < width; b++ {
+			c := faults.Site{Addr: a, Bit: b}
+			per[i] = append(per[i], faults.StuckAt{Cell: c}, faults.StuckAt{Cell: c, Value: 1},
+				faults.Transition{Cell: c, Rise: true}, faults.Transition{Cell: c})
+		}
+	}
+	out := make([]faults.Fault, 0, LaneWidth)
+	for j := 0; len(out) < LaneWidth; j++ {
+		for i := 0; i < k && len(out) < LaneWidth; i++ {
+			out = append(out, per[i][j%len(per[i])])
+		}
+	}
+	return out
+}
+
+// BenchmarkRestrictCutoff times one chunk's full and restricted replay
+// as the chunk touches more of the words (k of them), the measurement
+// behind restricting at most half the words:
+//
+//	go test -run xxx -bench RestrictCutoff -benchtime 0.2s ./internal/faultsim
+func BenchmarkRestrictCutoff(b *testing.B) {
+	geos := []struct {
+		test         string
+		width, words int
+	}{
+		{"MATS+", 2, 16}, {"MATS++", 4, 16}, {"MATS++", 4, 32},
+		{"March C-", 8, 16}, {"March C-", 16, 32}, {"March U", 32, 32},
+	}
+	for _, g := range geos {
+		res, err := core.TWMTA(march.MustLookup(g.test), g.width)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []DetectMode{DirectCompare, Signature} {
+			ref, err := NewReference(Campaign{Test: res.TWMarch, Words: g.words, Width: g.width, Mode: mode, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, eighths := range []int{1, 2, 4, 6, 8} {
+				k := g.words * eighths / 8
+				chunk := spreadChunk(g.words, g.width, k)
+				for _, path := range []string{"full", "restricted"} {
+					name := fmt.Sprintf("%s/W%dx%d/%v/k=%d/%s", g.test, g.width, g.words, mode, k, path)
+					b.Run(name, func(b *testing.B) {
+						ref.maxTouched = 0
+						if path == "restricted" {
+							ref.maxTouched = g.words
+						}
+						defer func() { ref.maxTouched = g.words / 2 }()
+						before := ref.restrictedChunks.Load()
+						for i := 0; i < b.N; i++ {
+							if _, err := ref.DetectLane(chunk); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if restricted := ref.restrictedChunks.Load() > before; restricted != (path == "restricted") {
+							b.Fatalf("restricted replay ran: %v", restricted)
+						}
+					})
+				}
+			}
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (r *Reference) SyndromeLane(fs []faults.Fault, want uint64, maxMismatches i
 		full = true
 		if r.restrictable(ar) && !r.mismatchOutside(ar) {
 			r.restrict(ar)
-			sp, full = ar.span(r.testRuns, &ar.testRuns), false
+			sp, full = ar.span(&r.testRuns, &ar.testRuns), false
 		}
 		r.replaySyndromeLane(ar, sp, lanes, mismatchCap(maxMismatches), out)
 	}

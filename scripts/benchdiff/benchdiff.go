@@ -10,11 +10,10 @@
 //
 // With -count > 1 the minimum ns/op (and allocs/op) per benchmark is
 // used — the standard noise filter for wall-clock benchmarks. Every
-// benchmark
-// present in the baseline must appear in the fresh run (a silently
-// dropped benchmark would otherwise disable its gate). Benchmarks in
-// the fresh run that the baseline does not track are reported but do
-// not fail the gate; add them with -update.
+// benchmark present in the baseline must appear in the fresh run (a
+// silently dropped benchmark would otherwise disable its gate).
+// Benchmarks in the fresh run that the baseline does not track are
+// reported but do not fail the gate; add them with -update.
 //
 // Baseline numbers are machine-dependent. -calibrate names a small,
 // stable benchmark (BenchmarkMemory in this repo's CI) whose
