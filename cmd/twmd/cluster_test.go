@@ -11,6 +11,7 @@ import (
 
 	"twmarch/internal/campaign"
 	"twmarch/internal/cluster"
+	"twmarch/internal/tracing"
 )
 
 // clusterWorkers launches n in-process twmw-equivalent workers against
@@ -42,8 +43,7 @@ func clusterWorkers(t *testing.T, base string, n int) func() {
 // -cluster server is dispatched across three workers — one of which is
 // killed mid-run so its cell expires and requeues — and the served
 // aggregate is byte-identical to a single-process Engine.Stream run.
-// Scheduling events land in the job's dispatch journal. CI runs this
-// under -race.
+// The lease lifecycle is on the job's trace. CI runs this under -race.
 func TestClusterEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	coord := cluster.New(cluster.Options{
@@ -109,25 +109,19 @@ func TestClusterEndToEnd(t *testing.T) {
 		seen[r.Index] = true
 	}
 
-	// The dispatch journal recorded the lease lifecycle, including the
-	// deadbeat's expiry and requeue.
-	lines, err := openStore(t, dir).DispatchLog(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The job's trace recorded the lease lifecycle: one lease closed ok
+	// per cell, and the deadbeat's lease closed abandoned on expiry.
 	counts := make(map[string]int)
-	for _, raw := range lines {
-		var ev cluster.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			t.Fatalf("bad dispatch event %s: %v", raw, err)
+	for _, sp := range fetchTraceSpans(t, ts.URL+"/campaigns/"+id+"/trace") {
+		if sp.Name == "cluster.lease" {
+			counts[sp.Status]++
 		}
-		counts[ev.Kind]++
 	}
-	if counts[cluster.EventComplete] != smallSpec().CellCount() {
-		t.Errorf("dispatch log has %d completes, want %d (log: %v)", counts[cluster.EventComplete], smallSpec().CellCount(), counts)
+	if counts[tracing.StatusOK] != smallSpec().CellCount() {
+		t.Errorf("trace has %d ok lease spans, want %d (by status: %v)", counts[tracing.StatusOK], smallSpec().CellCount(), counts)
 	}
-	if counts[cluster.EventExpire] == 0 || counts[cluster.EventRequeue] == 0 {
-		t.Errorf("dispatch log missing the deadbeat's expire/requeue: %v", counts)
+	if counts[tracing.StatusAbandoned] == 0 {
+		t.Errorf("trace has no abandoned lease span for the deadbeat: %v", counts)
 	}
 
 	// The worker heartbeat listing is served.

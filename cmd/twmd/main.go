@@ -431,16 +431,15 @@ func (j *job) status() Status {
 
 // server owns the job table and implements the HTTP API.
 type server struct {
-	engine campaign.Engine
-	mux    *http.ServeMux
+	// exec runs each job's cells: the engine's local worker pool, or
+	// the cluster coordinator's lease queue under -cluster.
+	exec campaign.Executor
+	mux  *http.ServeMux
 	// handler is the instrumented mux (request counters and latency
 	// histograms per normalized route); ServeHTTP delegates to it.
 	handler http.Handler
 	log     *slog.Logger
 	store   *jobstore.Store // nil without -datadir
-	// coord dispatches cells to remote workers instead of running the
-	// engine locally; nil without -cluster.
-	coord *cluster.Coordinator
 	// wh is the indexed result warehouse behind GET /campaigns/query;
 	// nil when disabled (no -datadir, -warehouse=false, or rebuild
 	// failure).
@@ -471,14 +470,13 @@ func newServerWith(eng campaign.Engine, maxJobs int, store *jobstore.Store, coor
 		logger = obs.NopLogger()
 	}
 	s := &server{
-		engine: eng,
-		log:    logger,
-		store:  store,
-		coord:  coord,
-		wh:     wh,
-		jobs:   make(map[string]*job),
-		mux:    http.NewServeMux(),
-		slots:  make(chan struct{}, maxJobs),
+		exec:  eng,
+		log:   logger,
+		store: store,
+		wh:    wh,
+		jobs:  make(map[string]*job),
+		mux:   http.NewServeMux(),
+		slots: make(chan struct{}, maxJobs),
 	}
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -486,6 +484,7 @@ func newServerWith(eng campaign.Engine, maxJobs int, store *jobstore.Store, coor
 	s.mux.HandleFunc("/campaigns", s.campaigns)
 	s.mux.HandleFunc("/campaigns/", s.campaign)
 	if coord != nil {
+		s.exec = coord.Executor(nil)
 		s.mux.Handle("/cluster/", coord)
 	}
 	obs.Mount(s.mux, obs.Default())
@@ -828,20 +827,7 @@ func (s *server) run(ctx context.Context, j *job) {
 			// WAL-durable before it is index-visible.
 			sinks = append(sinks, j.wh.Ingester(j.id))
 		}
-		var agg *campaign.Aggregate
-		var err error
-		if s.coord != nil {
-			// Cluster mode: lease the cells to workers. Completions flow
-			// through the same aggregator, hub, and journal; scheduling
-			// events land in the journal's dispatch side log.
-			var events func(cluster.Event)
-			if j.journal != nil {
-				events = func(ev cluster.Event) { j.journal.Dispatch(ev) }
-			}
-			agg, err = s.coord.Dispatch(ctx, j.id, j.spec, j.prog, j.agg, events, sinks...)
-		} else {
-			agg, err = s.engine.Stream(ctx, j.spec, j.prog, j.agg, sinks...)
-		}
+		agg, err := campaign.Fold(ctx, s.exec, j.id, j.spec, j.prog, j.agg, sinks...)
 		if j.journal != nil {
 			if jerr := j.journal.Err(); jerr != nil {
 				j.logger().Warn("journal write error", "err", jerr)

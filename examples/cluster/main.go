@@ -49,10 +49,11 @@ func main() {
 	defer ts.Close()
 	fmt.Printf("coordinator serving /cluster on %s\n", ts.URL)
 
-	// Dispatch the grid in the background — this is what a twmd job
-	// runner does per submitted campaign; it blocks until every cell
-	// is folded. The events hook sees the lease lifecycle — twmd
-	// journals these into the job's dispatch.ndjson side log.
+	// Dispatch the grid in the background — what a twmd job runner
+	// does per submitted campaign, through the same fold loop as a
+	// local run; it blocks until every cell is folded. The events hook
+	// sees the lease lifecycle, which twmd records as cluster.lease
+	// spans on the job's trace.
 	var leases, expires, requeues atomic.Int64
 	events := func(ev cluster.Event) {
 		switch ev.Kind {

@@ -28,7 +28,7 @@ func (f SinkFunc) Emit(r CellResult) { f(r) }
 // still adding results.
 //
 // An Aggregator pre-seeded with journaled results (Add before handing
-// it to Engine.Stream) makes the engine skip those cells — the
+// it to Fold or Engine.Stream) makes the run skip those cells — the
 // recovery path of a durable job server.
 type Aggregator struct {
 	mu     sync.Mutex

@@ -3,12 +3,9 @@ package campaign
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"twmarch/internal/tracing"
 )
 
 // Progress exposes a campaign's completion counters and run timestamps
@@ -98,24 +95,6 @@ func (p *Progress) ETA() time.Duration {
 	return time.Duration(float64(rem) / rate * float64(time.Second))
 }
 
-// Begin declares a run driven outside the engine — the cluster
-// coordinator dispatching cells to remote workers: total grid cells
-// and the number already folded before the run (journal-recovered
-// cells, which count toward Done but not the rate). It stamps the
-// run's start time; Engine.Stream does the equivalent internally.
-func (p *Progress) Begin(total, done int64) {
-	p.total.Store(total)
-	p.done.Store(done)
-	p.start()
-}
-
-// Step records one completed cell for an externally driven run.
-func (p *Progress) Step() { p.done.Add(1) }
-
-// End freezes the run clock (idempotent), like the engine does when
-// Stream returns.
-func (p *Progress) End() { p.finish() }
-
 // Engine executes campaign grids over a worker pool. The zero value
 // runs with GOMAXPROCS workers and an automatic batch size; Spec
 // fields override both.
@@ -141,58 +120,30 @@ func (e Engine) RunProgress(ctx context.Context, spec Spec, prog *Progress) (*Ag
 	return e.Stream(ctx, spec, prog, nil)
 }
 
-// Stream executes the campaign event-driven: the grid is expanded in
-// deterministic order, sharded into batches, fanned out to the worker
-// pool, and every completed CellResult is folded into agg and emitted
-// to each sink as it lands — in completion order, serialized, exactly
-// once per cell. The returned aggregate is agg's final snapshot, which
-// is byte-identical (canonical form) for any worker count or
-// completion order because every fold operation commutes.
+// Stream executes the campaign on the engine's worker pool: it is
+// Fold with the engine as executor. The grid is expanded in
+// deterministic order, sharded into batches, fanned out to the pool,
+// and every completed CellResult is folded into agg and emitted to
+// each sink as it lands — in completion order, serialized, exactly
+// once per cell. The returned aggregate is byte-identical (canonical
+// form) for any worker count or completion order because every fold
+// operation commutes.
 //
 // agg may be nil (a fresh aggregator is created) or pre-seeded with
 // journaled results from an interrupted run of the same spec: seeded
 // cells are skipped, counted in prog immediately, and not re-emitted
-// to the sinks — only the remainder is simulated. Cancellation via ctx
-// returns ctx's error; per-cell failures do not abort the run (they
-// land in CellResult.Err).
+// to the sinks — only the remainder is simulated. prog may be nil.
+// Cancellation via ctx returns ctx's error; per-cell failures do not
+// abort the run (they land in CellResult.Err).
 func (e Engine) Stream(ctx context.Context, spec Spec, prog *Progress, agg *Aggregator, sinks ...Sink) (*Aggregate, error) {
-	start := time.Now()
-	spec = spec.Normalized()
-	cells, err := spec.Cells()
-	if err != nil {
-		return nil, err
-	}
-	var span *tracing.Span
-	ctx, span = tracing.Start(ctx, "campaign.stream", tracing.KindInternal)
-	span.SetAttr("cells", strconv.Itoa(len(cells)))
-	defer func() {
-		if ctx.Err() != nil {
-			span.SetStatus(tracing.StatusCanceled)
-		}
-		span.Finish()
-	}()
-	if agg == nil {
-		agg = NewAggregator(spec)
-	}
-	pending := make([]Cell, 0, len(cells))
-	for _, c := range cells {
-		if !agg.Has(c.Index) {
-			pending = append(pending, c)
-		}
-	}
-	prog.total.Store(int64(len(cells)))
-	prog.done.Store(int64(len(cells) - len(pending)))
-	prog.start()
-	defer prog.finish()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(pending) == 0 {
-		a := agg.Snapshot()
-		a.WallClockNS = time.Since(start).Nanoseconds()
-		return a, nil
-	}
+	return Fold(ctx, e, "", spec, prog, agg, sinks...)
+}
 
+// Execute runs the pending cells on a pool of goroutines (the
+// Executor for in-process campaigns): pending is sharded into batches
+// that the workers pull, and the cells of one run share a fault
+// enumeration per memory geometry. The job label is unused.
+func (e Engine) Execute(ctx context.Context, job string, spec Spec, cells, pending []Cell, results chan<- CellResult) error {
 	workers := spec.Workers
 	if workers == 0 {
 		workers = e.Workers
@@ -215,7 +166,6 @@ func (e Engine) Stream(ctx context.Context, spec Spec, prog *Progress, agg *Aggr
 	shards := Shard(pending, batch)
 
 	jobs := make(chan []Cell)
-	results := make(chan CellResult, 2*workers)
 	cache := &faultCache{}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -233,10 +183,10 @@ func (e Engine) Stream(ctx context.Context, spec Spec, prog *Progress, agg *Aggr
 					if ctx.Err() != nil {
 						// The run was canceled while this cell simulated:
 						// its result may be a poisoned partial tally
-						// (runCell records ctx.Err() per cell). Stream
-						// returns ctx's error anyway, so never fold or
-						// emit it — a journal sink must not persist a
-						// cancellation artifact as a real cell.
+						// (runCell records ctx.Err() per cell). Fold
+						// returns ctx's error anyway, so never send it —
+						// a journal sink must not persist a cancellation
+						// artifact as a real cell.
 						return
 					}
 					select {
@@ -258,28 +208,6 @@ func (e Engine) Stream(ctx context.Context, spec Spec, prog *Progress, agg *Aggr
 			}
 		}
 	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// The collector is the single event loop: it folds each result and
-	// fans it out to the sinks, so sinks observe results one at a time
-	// and an aggregator snapshot taken concurrently always includes
-	// every result already emitted.
-	for r := range results {
-		agg.Add(r)
-		prog.done.Add(1)
-		for _, s := range sinks {
-			if s != nil {
-				s.Emit(r)
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	a := agg.Snapshot()
-	a.WallClockNS = time.Since(start).Nanoseconds()
-	return a, nil
+	wg.Wait()
+	return ctx.Err()
 }

@@ -60,9 +60,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Coordinator is the dispatch side of cluster execution: it owns a
-// lease queue per in-flight Dispatch call and serves the /cluster HTTP
-// API workers poll. Safe for concurrent use; any number of jobs
-// dispatch at once.
+// lease queue per in-flight job and serves the /cluster HTTP API
+// workers poll. Safe for concurrent use; any number of jobs dispatch
+// at once.
 type Coordinator struct {
 	opts  Options
 	chaos chaos
@@ -189,10 +189,10 @@ func (c *Coordinator) Renew(req RenewRequest, now time.Time) RenewResponse {
 	return RenewResponse{Status: StatusOK, TTLNS: c.opts.LeaseTTL.Nanoseconds()}
 }
 
-// Complete folds a worker's result into its job (via the job's
-// Dispatch collector). Duplicates acknowledge as StatusOK and fold
-// nothing; a dead job answers StatusGone; a result that contradicts
-// the job's own grid expansion is an error.
+// Complete delivers a worker's result to its job's fold loop.
+// Duplicates acknowledge as StatusOK and fold nothing; a dead job
+// answers StatusGone; a result that contradicts the job's own grid
+// expansion is an error.
 func (c *Coordinator) Complete(req CompleteRequest, now time.Time) (CompleteResponse, error) {
 	c.heartbeat(req.Worker, now)
 	q := c.lookup(req.Job)
@@ -234,39 +234,37 @@ func (c *Coordinator) Workers(now time.Time) []WorkerStatus {
 }
 
 // Dispatch runs one campaign by leasing its cells to workers instead
-// of simulating locally — the cluster counterpart of Engine.Stream,
-// with the same collector contract: each accepted result is folded
-// into agg, counted in prog, and emitted to every sink exactly once,
-// serialized. agg may be pre-seeded with journaled results (the
-// recovery path); seeded cells are neither leased nor re-emitted. The
-// events hook (may be nil) observes every scheduling event — twmd
-// journals these. The returned aggregate is agg's final snapshot,
-// byte-identical in canonical form to a single-process run of the same
-// spec for any worker placement, interleaving, or retry history.
+// of simulating locally: it is campaign.Fold with the lease queue as
+// executor, so it keeps Engine.Stream's contract — each accepted
+// result is folded into agg, counted in prog, and emitted to every
+// sink exactly once, serialized; agg may be pre-seeded with journaled
+// results (the recovery path), whose cells are neither leased nor
+// re-emitted; prog may be nil. The events hook (may be nil) observes
+// every scheduling event. The returned aggregate is byte-identical in
+// canonical form to a single-process run of the same spec for any
+// worker placement, interleaving, or retry history.
 func (c *Coordinator) Dispatch(ctx context.Context, job string, spec campaign.Spec, prog *campaign.Progress, agg *campaign.Aggregator, events func(Event), sinks ...campaign.Sink) (*campaign.Aggregate, error) {
-	start := time.Now()
-	spec = spec.Normalized()
-	cells, err := spec.Cells()
-	if err != nil {
-		return nil, err
-	}
-	if agg == nil {
-		agg = campaign.NewAggregator(spec)
-	}
-	if prog == nil {
-		prog = &campaign.Progress{}
-	}
-	pending := make([]campaign.Cell, 0, len(cells))
-	for _, cell := range cells {
-		if !agg.Has(cell.Index) {
-			pending = append(pending, cell)
-		}
-	}
-	prog.Begin(int64(len(cells)), int64(len(cells)-len(pending)))
-	defer prog.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	return campaign.Fold(ctx, c.Executor(events), job, spec, prog, agg, sinks...)
+}
+
+// Executor returns the coordinator's lease queue as a
+// campaign.Executor. Each Execute registers a queue for its job (the
+// job id must be unique among in-flight runs), leases the pending
+// cells to polling workers, and on return unregisters the queue,
+// revoking every outstanding lease. events (may be nil) observes every
+// scheduling event.
+func (c *Coordinator) Executor(events func(Event)) campaign.Executor {
+	return leases{c: c, events: events}
+}
+
+// leases is the lease-queue campaign.Executor.
+type leases struct {
+	c      *Coordinator
+	events func(Event)
+}
+
+// Execute implements campaign.Executor.
+func (l leases) Execute(ctx context.Context, job string, spec campaign.Spec, cells, pending []campaign.Cell, results chan<- campaign.CellResult) error {
 	tctx, span := tracing.Start(ctx, "cluster.dispatch", tracing.KindInternal)
 	span.SetAttr("job", job)
 	span.SetAttr("cells", strconv.Itoa(len(cells)))
@@ -277,53 +275,30 @@ func (c *Coordinator) Dispatch(ctx context.Context, job string, spec campaign.Sp
 		}
 		span.Finish()
 	}()
-	if len(pending) == 0 {
-		a := agg.Snapshot()
-		a.WallClockNS = time.Since(start).Nanoseconds()
-		return a, nil
+	q := newQueue(tctx, job, spec, cells, pending, results, l.c.opts, l.events)
+	if err := l.c.register(job, q); err != nil {
+		return err
 	}
-
-	// The queue delivers at most one result per pending cell, so this
-	// buffer guarantees its sends never block while it holds its lock.
-	results := make(chan campaign.CellResult, len(pending))
-	q := newQueue(tctx, job, spec, cells, pending, results, c.opts, events)
-	if err := c.register(job, q); err != nil {
-		return nil, err
-	}
-	defer c.unregister(job)
+	defer l.c.unregister(job)
 
 	// Expiry is driven two ways: lazily on every worker call, and by
 	// this ticker so a queue all of whose workers died still requeues.
-	period := c.opts.LeaseTTL / 4
+	period := l.c.opts.LeaseTTL / 4
 	if period < 10*time.Millisecond {
 		period = 10 * time.Millisecond
 	}
 	tick := time.NewTicker(period)
 	defer tick.Stop()
-
-	for remaining := len(pending); remaining > 0; {
+	for {
 		select {
-		case r := <-results:
-			if agg.Has(r.Index) {
-				continue // the queue already dedups; belt and braces
-			}
-			agg.Add(r)
-			prog.Step()
-			remaining--
-			for _, s := range sinks {
-				if s != nil {
-					s.Emit(r)
-				}
-			}
+		case <-q.drained:
+			return nil
 		case <-tick.C:
 			q.expire(time.Now())
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	a := agg.Snapshot()
-	a.WallClockNS = time.Since(start).Nanoseconds()
-	return a, nil
 }
 
 // ServeHTTP serves the worker-facing API under /cluster/: POST lease,

@@ -34,12 +34,13 @@ type lease struct {
 }
 
 // queue is one dispatched job's lease state. It owns the cells the
-// coordinator's Dispatch call is waiting on: pending cells are leased
-// out FIFO (requeued cells behind their backoff gate), outstanding
-// leases are kept alive by renewals and requeued when they expire, and
-// each accepted completion is delivered to the results channel exactly
-// once per cell — the channel is sized for that, so sends never block
-// while the mutex is held.
+// job's fold loop is waiting on: pending cells are leased out FIFO
+// (requeued cells behind their backoff gate), outstanding leases are
+// kept alive by renewals and requeued when they expire, and each
+// accepted completion is delivered to the results channel exactly once
+// per cell — the channel has room for every pending cell, so sends
+// never block while the mutex is held. drained closes with the last
+// delivery.
 type queue struct {
 	job   string
 	spec  campaign.Spec
@@ -51,8 +52,11 @@ type queue struct {
 	done    map[int]bool
 	seq     int
 	closed  bool
+	// remaining counts pending cells not yet delivered.
+	remaining int
 
 	results chan<- campaign.CellResult
+	drained chan struct{}
 	opts    Options
 	events  func(Event)
 	// tctx is the dispatch span's context: lease spans start under it
@@ -66,7 +70,7 @@ type queue struct {
 	out   *obs.Gauge
 }
 
-// newQueue builds the queue for one Dispatch call. cells is the full
+// newQueue builds the queue for one job's run. cells is the full
 // grid expansion; pending the subset still to simulate (the rest is
 // marked done so a stray completion for a pre-folded cell is a
 // duplicate, not a fold). tctx carries the dispatch span and the
@@ -82,6 +86,7 @@ func newQueue(tctx context.Context, job string, spec campaign.Spec, cells, pendi
 		leases:  make(map[string]*lease),
 		done:    make(map[int]bool, len(cells)),
 		results: results,
+		drained: make(chan struct{}),
 		opts:    opts,
 		events:  events,
 		tctx:    tctx,
@@ -96,6 +101,7 @@ func newQueue(tctx context.Context, job string, spec campaign.Spec, cells, pendi
 		q.done[c.Index] = false
 		q.pending = append(q.pending, pendingCell{cell: c})
 	}
+	q.remaining = len(pending)
 	q.depth.Set(float64(len(q.pending)))
 	return q
 }
@@ -248,7 +254,7 @@ func (q *queue) complete(leaseID string, res campaign.CellResult, now time.Time)
 	}
 	q.done[res.Index] = true
 	evs = append(evs, Event{TimeNS: now.UnixNano(), Kind: EventComplete, Cell: res.Index, Lease: leaseID, Attempt: attempt})
-	q.results <- res
+	q.deliverLocked(res)
 	return StatusOK, nil
 }
 
@@ -288,7 +294,7 @@ func (q *queue) expireLocked(now time.Time) []Event {
 			res.Err = fmt.Sprintf("cluster: cell %d abandoned after %d expired leases", l.cell.Index, attempt)
 			q.done[l.cell.Index] = true
 			evs = append(evs, Event{TimeNS: now.UnixNano(), Kind: EventAbandon, Cell: l.cell.Index, Attempt: attempt})
-			q.results <- res
+			q.deliverLocked(res)
 			continue
 		}
 		q.pending = append(q.pending, pendingCell{
@@ -299,6 +305,16 @@ func (q *queue) expireLocked(now time.Time) []Event {
 		evs = append(evs, Event{TimeNS: now.UnixNano(), Kind: EventRequeue, Cell: l.cell.Index, Attempt: attempt})
 	}
 	return evs
+}
+
+// deliverLocked sends one cell's result and closes drained after the
+// last; callers hold q.mu and have marked the cell done.
+func (q *queue) deliverLocked(res campaign.CellResult) {
+	q.results <- res
+	q.remaining--
+	if q.remaining == 0 {
+		close(q.drained)
+	}
 }
 
 // backoff returns the requeue delay before attempt n+1: exponential in

@@ -11,10 +11,11 @@
 // coordinator can accept completions in any order — including
 // duplicates from retried requests or from a lease that expired and
 // was re-run elsewhere — and still produce an aggregate byte-identical
-// to a single-process Engine.Stream run. The coordinator folds through
-// the same collector discipline as the engine (one goroutine, fold
-// then emit to each Sink exactly once), so twmd's event hub, the
-// journal, and -datadir recovery work unchanged under dispatch.
+// to a single-process Engine.Stream run. The lease queue is a
+// campaign.Executor: results fold through the same campaign.Fold loop
+// as the engine's (one goroutine, fold then emit to each Sink exactly
+// once), so twmd's event hub, the journal, and -datadir recovery work
+// unchanged under dispatch.
 //
 // Failure handling: leases carry a TTL and are kept alive by worker
 // heartbeats (renew); an expired lease requeues its cell with
@@ -121,8 +122,7 @@ type WorkerStatus struct {
 }
 
 // Event is one scheduling event of a dispatched campaign — the
-// coordinator emits these into the hook Dispatch is given, and twmd
-// journals them to the job's dispatch side log.
+// coordinator emits these into the hook Dispatch is given.
 type Event struct {
 	// TimeNS is the event's wall-clock timestamp.
 	TimeNS int64 `json:"time_ns"`

@@ -12,9 +12,6 @@
 //	<id>/spec.json       the submitted campaign.Spec (atomic rename)
 //	<id>/wal.ndjson      one compact JSON CellResult per line, append-only
 //	<id>/state.json      terminal marker {state, error} (atomic rename)
-//	<id>/dispatch.ndjson cluster scheduling events (lease/requeue/...),
-//	                     append-only; an operator-facing side log that
-//	                     recovery never replays
 //	<id>/trace           the job span's W3C traceparent (atomic rename),
 //	                     so a restarted server resumes the same trace
 //
@@ -25,7 +22,6 @@ package jobstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -286,10 +282,6 @@ type Journal struct {
 	f   *os.File
 	dir string
 	err error
-	// df is the dispatch side log, opened lazily on the first event so
-	// non-cluster jobs never create the file.
-	df    *os.File
-	dfErr error
 }
 
 func openWAL(dir string) (*Journal, error) {
@@ -323,83 +315,11 @@ func (j *Journal) Emit(r campaign.CellResult) {
 	metWALAppends.Inc()
 }
 
-// Dispatch appends one cluster scheduling event — any JSON-marshalable
-// value; cmd/twmd passes cluster.Event — to the job's dispatch side
-// log (<id>/dispatch.ndjson). The log is pure observability: recovery
-// never replays it, so append failures are swallowed after the first
-// (retained for Err) and a full disk costs the event trail, not the
-// job.
-func (j *Journal) Dispatch(ev any) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// The j.f guard mirrors Emit and doubles as the closed check: a
-	// straggler event arriving after Finish/Close (lease revocations
-	// race the collector) must not reopen the side log and leak the fd.
-	if j.dfErr != nil || j.f == nil {
-		return
-	}
-	if j.df == nil {
-		f, err := os.OpenFile(filepath.Join(j.dir, "dispatch.ndjson"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			j.dfErr = fmt.Errorf("jobstore: %v", err)
-			metAppendErrors.Inc()
-			return
-		}
-		j.df = f
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		j.dfErr = fmt.Errorf("jobstore: encode dispatch event: %v", err)
-		metAppendErrors.Inc()
-		return
-	}
-	if _, err := j.df.Write(append(raw, '\n')); err != nil {
-		j.dfErr = fmt.Errorf("jobstore: append dispatch event: %v", err)
-		metAppendErrors.Inc()
-		return
-	}
-	metDispatchEvents.Inc()
-}
-
-// DispatchLog reads a job's dispatch side log as raw NDJSON lines
-// (nil when the job never dispatched). Lines are returned verbatim so
-// callers decode into their own event schema; a torn tail line is
-// dropped.
-func (s *Store) DispatchLog(id string) ([]json.RawMessage, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	raw, err := os.ReadFile(filepath.Join(s.dir, id, "dispatch.ndjson"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("jobstore: %v", err)
-	}
-	var out []json.RawMessage
-	for len(raw) > 0 {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			break // torn tail
-		}
-		line := raw[:nl]
-		raw = raw[nl+1:]
-		if json.Valid(line) {
-			out = append(out, json.RawMessage(append([]byte(nil), line...)))
-		}
-	}
-	return out, nil
-}
-
-// Err returns the first append failure, if any — a WAL failure wins
-// over a dispatch-log one, since only the WAL affects recovery.
+// Err returns the first WAL append failure, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	return j.dfErr
+	return j.err
 }
 
 // Finish writes the terminal-state marker and closes the WAL. A job
@@ -427,10 +347,6 @@ func (j *Journal) Close() error {
 }
 
 func (j *Journal) closeLocked() error {
-	if j.df != nil {
-		j.df.Close() // best-effort, like the appends
-		j.df = nil
-	}
 	if j.f == nil {
 		return nil
 	}

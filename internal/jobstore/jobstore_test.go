@@ -1,7 +1,6 @@
 package jobstore
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -239,84 +238,5 @@ func TestRemoveAndIDValidation(t *testing.T) {
 	}
 	if _, err := Open(""); err == nil {
 		t.Error("empty store dir accepted")
-	}
-}
-
-// TestDispatchLog pins the cluster side log: events append as NDJSON,
-// survive a reopen, a torn tail line is dropped, recovery never
-// replays them, and a job that never dispatched reads back nil.
-func TestDispatchLog(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := st.Create("c1", testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	type ev struct {
-		Kind string `json:"kind"`
-		Cell int    `json:"cell"`
-	}
-	j.Dispatch(ev{Kind: "lease", Cell: 0})
-	j.Dispatch(ev{Kind: "complete", Cell: 0})
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Events append across a reopen, like the WAL.
-	j2, err := st.Reopen("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Dispatch(ev{Kind: "lease", Cell: 1})
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A torn tail (crash mid-append) is dropped on read.
-	f, err := os.OpenFile(filepath.Join(st.Dir(), "c1", "dispatch.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"kind":"requ`)
-	f.Close()
-
-	lines, err := st.DispatchLog("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 3 {
-		t.Fatalf("dispatch log has %d lines, want 3: %s", len(lines), lines)
-	}
-	var last ev
-	if err := json.Unmarshal(lines[2], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Kind != "lease" || last.Cell != 1 {
-		t.Fatalf("last event %+v", last)
-	}
-
-	// Recovery ignores the side log entirely.
-	jobs, err := st.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || len(jobs[0].Done) != 0 {
-		t.Fatalf("recovery affected by dispatch log: %+v", jobs)
-	}
-
-	// A job without a dispatch log reads back nil.
-	if _, err := st.Create("c2", testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	lines, err = st.DispatchLog("c2")
-	if err != nil || lines != nil {
-		t.Fatalf("undispatched job log = %v, %v; want nil, nil", lines, err)
-	}
-	if _, err := st.DispatchLog("../escape"); err == nil {
-		t.Error("invalid id accepted")
 	}
 }

@@ -11,9 +11,7 @@ var (
 	metWALAppends = obs.NewCounter("twm_jobstore_wal_appends_total",
 		"cell results appended to job WALs").With()
 	metAppendErrors = obs.NewCounter("twm_jobstore_append_errors_total",
-		"failed WAL or dispatch-log appends (first failure per journal sticks)").With()
-	metDispatchEvents = obs.NewCounter("twm_jobstore_dispatch_events_total",
-		"cluster scheduling events appended to dispatch side logs").With()
+		"failed WAL appends (first failure per journal sticks)").With()
 	metRecoveredJobs = obs.NewCounter("twm_jobstore_recovered_jobs_total",
 		"journaled jobs replayed by Recover after a restart").With()
 	metRecoveredCells = obs.NewCounter("twm_jobstore_recovered_cells_total",

@@ -22,8 +22,6 @@ var (
 		"warehouse range/point queries served").With()
 	metQueryResults = obs.NewCounter("twm_warehouse_query_results_total",
 		"cell records returned by warehouse queries").With()
-	metBloomSkips = obs.NewCounter("twm_warehouse_bloom_short_circuits_total",
-		"point lookups answered 'absent' by the segment bloom filters without touching a page").With()
 	metCheckpoints = obs.NewCounter("twm_warehouse_checkpoints_total",
 		"warehouse checkpoints (dirty pages flushed, clean marker written)").With()
 	metRebuilds = obs.NewCounter("twm_warehouse_rebuilds_total",

@@ -24,9 +24,7 @@
 // Mutations mark the meta page dirty (synced before the first page
 // changes) and Checkpoint flushes all pages before writing the clean
 // marker back, so Open of a crashed file fails with ErrNeedsRebuild
-// instead of serving a torn tree. In-memory, per-segment bloom
-// filters over the ingested job sequences short-circuit point
-// lookups for absent jobs without touching a page.
+// instead of serving a torn tree.
 package warehouse
 
 import (
@@ -75,7 +73,6 @@ type Warehouse struct {
 	pg   *Pager
 	dim  *tree
 	pri  *tree
-	segs []*segment
 	jobs int
 	// clean mirrors the on-disk meta marker; the first mutation after
 	// a checkpoint syncs it false before any page can hit disk.
@@ -108,7 +105,7 @@ func Open(path string, opts Options) (*Warehouse, error) {
 		pg.Close()
 		return nil, err
 	}
-	if err := w.loadSegments(); err != nil {
+	if err := w.countJobs(); err != nil {
 		pg.Close()
 		return nil, fmt.Errorf("%w: %v", ErrNeedsRebuild, err)
 	}
@@ -183,15 +180,14 @@ func (w *Warehouse) loadMeta() error {
 	return nil
 }
 
-// loadSegments rebuilds the in-memory bloom segments and job count by
-// walking the primary tree's leaf chain once.
-func (w *Warehouse) loadSegments() error {
+// countJobs sets the job count by walking the primary tree's leaf
+// chain once.
+func (w *Warehouse) countJobs() error {
 	var last uint64
 	var any bool
 	return w.pri.scan(nil, func(k, v []byte) bool {
 		seq := binary.BigEndian.Uint64(k)
 		if !any || seq != last {
-			w.segs = addJob(w.segs, seq)
 			w.jobs++
 			any, last = true, seq
 		}
@@ -295,8 +291,12 @@ func (w *Warehouse) insertLocked(job uint64, r campaign.CellResult) error {
 	}
 	known := w.lastJobKnown && w.lastJob == job
 	if !known {
-		var err error
-		if known, err = w.hasJobLocked(job); err != nil {
+		// First cell since the last job switch: probe the primary tree
+		// for an earlier cell of this job, so the job count stays exact.
+		if err := w.pri.scan(priKey(job, 0), func(k, v []byte) bool {
+			known = len(k) >= 8 && binary.BigEndian.Uint64(k) == job
+			return false
+		}); err != nil {
 			return err
 		}
 	}
@@ -315,34 +315,11 @@ func (w *Warehouse) insertLocked(job uint64, r campaign.CellResult) error {
 	}
 	metInserts.Inc()
 	if !known {
-		w.segs = addJob(w.segs, job)
 		w.jobs++
 		metJobs.Set(float64(w.jobs))
 	}
 	w.lastJob, w.lastJobKnown = job, true
 	return nil
-}
-
-// hasJobLocked reports whether any cell of the job is indexed,
-// consulting the segment blooms before touching a page.
-func (w *Warehouse) hasJobLocked(job uint64) (bool, error) {
-	if !mightContainJob(w.segs, job) {
-		metBloomSkips.Inc()
-		return false, nil
-	}
-	found := false
-	err := w.pri.scan(priKey(job, 0), func(k, v []byte) bool {
-		found = len(k) >= 8 && binary.BigEndian.Uint64(k) == job
-		return false
-	})
-	return found, err
-}
-
-// HasJob reports whether the job has any indexed cells.
-func (w *Warehouse) HasJob(job uint64) (bool, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.hasJobLocked(job)
 }
 
 // jobEntriesLocked collects the primary entries of one job.
@@ -359,8 +336,7 @@ func (w *Warehouse) jobEntriesLocked(job uint64) (cells []uint32, vals [][]byte,
 }
 
 // RemoveJob deletes every index entry of the job — the eviction path
-// — and returns how many cells were dropped. The blooms are left
-// untouched (a stale positive only costs one tree probe).
+// — and returns how many cells were dropped.
 func (w *Warehouse) RemoveJob(job uint64) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -368,10 +344,6 @@ func (w *Warehouse) RemoveJob(job uint64) (int, error) {
 }
 
 func (w *Warehouse) removeJobLocked(job uint64) (int, error) {
-	if !mightContainJob(w.segs, job) {
-		metBloomSkips.Inc()
-		return 0, nil
-	}
 	cells, vals, err := w.jobEntriesLocked(job)
 	if err != nil {
 		return 0, err

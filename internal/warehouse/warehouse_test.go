@@ -117,9 +117,9 @@ func TestWarehouseInsertSearch(t *testing.T) {
 		t.Fatalf("mode filter matched %d records, want 0", len(res.Records))
 	}
 
-	// Absent job short-circuits via the blooms.
-	if ok, err := w.HasJob(999); err != nil || ok {
-		t.Fatalf("HasJob(999) = %v, %v", ok, err)
+	// Removing an absent job drops nothing.
+	if n, err := w.RemoveJob(999); err != nil || n != 0 {
+		t.Fatalf("RemoveJob(999) = %v, %v", n, err)
 	}
 }
 

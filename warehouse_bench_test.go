@@ -241,8 +241,8 @@ func BenchmarkWarehouseWALReplay(b *testing.B) {
 }
 
 // BenchmarkWarehouseIngest measures the write path: one InsertResult
-// per op into a fresh index — both tree inserts, bloom fold and page
-// writes included, checkpoints excluded (twmd checkpoints per settled
+// per op into a fresh index — both tree inserts and page writes
+// included, checkpoints excluded (twmd checkpoints per settled
 // job, not per cell; the per-cell cost is what the streaming Ingester
 // sink adds to every simulated cell).
 func BenchmarkWarehouseIngest(b *testing.B) {
